@@ -33,6 +33,7 @@
 #ifndef OWL_SAT_DRAT_H
 #define OWL_SAT_DRAT_H
 
+#include <utility>
 #include <vector>
 
 #include "lint/diagnostic.h"
@@ -60,9 +61,9 @@ struct DratProof
     std::vector<DratStep> steps;
 
     void
-    addClause(const std::vector<Lit> &lits)
+    addClause(std::vector<Lit> lits)
     {
-        steps.push_back(DratStep{false, lits});
+        steps.push_back(DratStep{false, std::move(lits)});
     }
     void
     deleteClause(const std::vector<Lit> &lits)

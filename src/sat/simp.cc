@@ -49,6 +49,7 @@
  */
 
 #include <algorithm>
+#include <span>
 
 #include "base/logging.h"
 #include "obs/obs.h"
@@ -83,7 +84,7 @@ class Simplifier
 
         mark.assign(static_cast<size_t>(s.nVars) * 2, 0);
         touchedVar.assign(static_cast<size_t>(s.nVars), 0);
-        size_t new_from = s.simpEverRan ? s.simpClausesSeen : 0;
+        size_t new_from = s.simpEverRan ? s.simpNewFrom : 0;
 
         int64_t t0 = obs::nowNs();
         cleanup();
@@ -97,25 +98,32 @@ class Simplifier
         if (!refuted)
             eliminationPass();
         int64_t t3 = obs::nowNs();
-        if (!refuted)
+        if (!refuted) {
+            compactClauses();
             rebuildAndPropagate();
+        }
         if (!refuted)
             probeFailedLiterals();
         int64_t t4 = obs::nowNs();
         OWL_TRACE_EVENT("sat", "simplify vars=", s.nVars,
                         " clauses=", s.clauses.size(),
-                        " cleanup_ms=", (t1 - t0) / 1000000,
-                        " subsume_ms=", (t2 - t1) / 1000000,
-                        " eliminate_ms=", (t3 - t2) / 1000000,
-                        " rebuild_probe_ms=", (t4 - t3) / 1000000);
+                        " cleanup_ns=", t1 - t0,
+                        " subsume_ns=", t2 - t1,
+                        " eliminate_ns=", t3 - t2,
+                        " rebuild_probe_ns=", t4 - t3);
 
-        s.simpClausesSeen = s.clauses.size();
+        s.simpClausesSeen = s.clausesAdded;
+        s.simpNewFrom = s.clauses.size();
         s.simpTrailSeen = s.trail.size();
         s.simpConflictsAt = s.statistics.conflicts;
         s.simpEverRan = true;
         s.simpStatistics.rounds++;
 
         const SimpStats &now = s.simpStatistics;
+        span.attr("cleanup_ns", t1 - t0);
+        span.attr("subsume_ns", t2 - t1);
+        span.attr("eliminate_ns", t3 - t2);
+        span.attr("rebuild_probe_ns", t4 - t3);
         span.attr("vars_eliminated",
                   now.varsEliminated - before.varsEliminated);
         span.attr("clauses_subsumed",
@@ -135,9 +143,40 @@ class Simplifier
     std::vector<std::vector<int>> occ;
     std::vector<uint64_t> sigs;   ///< per clause
     std::vector<uint8_t> inQueue; ///< per clause
+    /**
+     * Per clause, kept in step with the database from buildIndex()
+     * on, so gather() can filter an occurrence list without loading
+     * the clauses it names.
+     */
+    enum : uint8_t
+    {
+        kLearned = 1,
+        kDeleted = 2,
+        /** Strengthened since indexing: entries may be stale. */
+        kShrunk = 4,
+    };
+    std::vector<uint8_t> occFlags;
     std::vector<int> queue;       ///< subsumption worklist (originals)
     std::vector<uint8_t> touchedVar;
     std::vector<uint8_t> mark; ///< literal-code scratch
+    /** Strengthened-clause scratch (cleanup, self-subsumption). */
+    std::vector<Lit> kept;
+    /** tryEliminate scratch: occurrences of v's two literals. */
+    std::vector<int> posAll, posOrig, negAll, negOrig;
+    /**
+     * tryEliminate scratch: every resolvent of the candidate,
+     * back to back in one buffer; resEnd[k] is one past the last
+     * literal of resolvent k.
+     */
+    std::vector<Lit> resLits;
+    std::vector<size_t> resEnd;
+    /**
+     * tryEliminate scratch: the neg-side clauses without v's
+     * literal, back to back (same layout as resLits), so the
+     * pos x neg cross product walks one contiguous buffer.
+     */
+    std::vector<Lit> negLits;
+    std::vector<size_t> negEnd;
     bool refuted = false;
 
     void refute()
@@ -190,21 +229,35 @@ class Simplifier
                 s.proof->addClause(c.lits);
             s.proof->deleteClause(c.lits);
         }
+        touch(c.lits);
+        dropClause(ci);
+    }
+
+    /**
+     * Delete a clause whose DRAT steps are logged and whose
+     * variables are touched: learned-clause accounting, then free.
+     */
+    void dropClause(int ci)
+    {
+        Solver::Clause &c = s.clauses[static_cast<size_t>(ci)];
         if (c.learned) {
             s.liveLearned--;
             s.statistics.learnedDeleted++;
         }
-        c.deleted = true;
         s.simpStatistics.clausesDeleted++;
-        touch(c.lits);
+        Solver::releaseClause(c);
+        if (!occFlags.empty())
+            occFlags[static_cast<size_t>(ci)] |= kDeleted;
     }
 
     /**
      * Replace a clause's literals with a strict subset (dropping
      * root-false literals or a self-subsumption pivot). A one-literal
-     * result leaves the database and lands on the root trail.
+     * result leaves the database and lands on the root trail. The
+     * subset is copied into the clause's own storage, which always
+     * has room for it.
      */
-    void strengthenTo(int ci, std::vector<Lit> new_lits)
+    void strengthenTo(int ci, const std::vector<Lit> &new_lits)
     {
         Solver::Clause &c = s.clauses[static_cast<size_t>(ci)];
         owl_assert(!new_lits.empty(),
@@ -218,12 +271,7 @@ class Simplifier
         s.simpStatistics.clausesStrengthened++;
         touch(c.lits);
         if (new_lits.size() == 1) {
-            if (c.learned) {
-                s.liveLearned--;
-                s.statistics.learnedDeleted++;
-            }
-            c.deleted = true;
-            s.simpStatistics.clausesDeleted++;
+            dropClause(ci);
             uint8_t v = litValue(new_lits[0]);
             if (v == Solver::lFalse) {
                 refute();
@@ -233,8 +281,9 @@ class Simplifier
                 s.enqueue(new_lits[0], -1);
             return;
         }
-        c.lits = std::move(new_lits);
+        c.lits.assign(new_lits.begin(), new_lits.end());
         if (!sigs.empty()) {
+            occFlags[static_cast<size_t>(ci)] |= kShrunk;
             sigs[static_cast<size_t>(ci)] =
                 simp::clauseSignature(c.lits);
             if (!c.learned)
@@ -250,7 +299,6 @@ class Simplifier
      */
     void cleanup()
     {
-        std::vector<Lit> kept;
         for (size_t ci = 0; ci < s.clauses.size() && !refuted; ci++) {
             Solver::Clause &c = s.clauses[ci];
             if (c.deleted)
@@ -286,10 +334,24 @@ class Simplifier
         occ.assign(static_cast<size_t>(s.nVars) * 2, {});
         sigs.assign(s.clauses.size(), 0);
         inQueue.assign(s.clauses.size(), 0);
+        occFlags.assign(s.clauses.size(), 0);
+        // Size every list up front: one allocation per literal
+        // instead of a doubling chain.
+        std::vector<uint32_t> count(occ.size(), 0);
+        for (const Solver::Clause &c : s.clauses) {
+            for (Lit l : c.lits)
+                count[static_cast<size_t>(l.index())]++;
+        }
+        for (size_t i = 0; i < occ.size(); i++)
+            occ[i].reserve(count[i]);
         for (size_t ci = 0; ci < s.clauses.size(); ci++) {
             const Solver::Clause &c = s.clauses[ci];
-            if (c.deleted)
+            if (c.deleted) {
+                occFlags[ci] = kDeleted;
                 continue;
+            }
+            if (c.learned)
+                occFlags[ci] = kLearned;
             sigs[ci] = simp::clauseSignature(c.lits);
             for (Lit l : c.lits)
                 occ[static_cast<size_t>(l.index())].push_back(
@@ -379,78 +441,135 @@ class Simplifier
                     removeClause(di);
                     s.simpStatistics.clausesSubsumed++;
                 } else if (rel == simp::SubsumeRel::SelfSubsumes) {
-                    std::vector<Lit> kept;
-                    kept.reserve(d.lits.size() - 1);
+                    kept.clear();
                     for (Lit l : d.lits) {
                         if (l != ~pivot)
                             kept.push_back(l);
                     }
-                    strengthenTo(di, std::move(kept));
+                    strengthenTo(di, kept);
                 }
             }
         }
     }
 
     /**
-     * Resolve a pos-side clause with a neg-side clause on v.
-     * @return false when the resolvent is a tautology.
+     * Resolve every original pos-side clause of v with every
+     * original neg-side clause, pos-major, into resLits/resEnd.
+     * Each resolvent is the pos clause's other literals followed by
+     * the neg clause's literals not already among them; tautologies
+     * are skipped.
+     * @return false as soon as a resolvent is oversized, the literal
+     *         total exceeds max_lits or the count exceeds
+     *         max_resolvents.
      */
-    bool resolve(const std::vector<Lit> &pos,
-                 const std::vector<Lit> &neg, int v,
-                 std::vector<Lit> &out)
+    bool resolveAll(int v, size_t max_resolvents, size_t max_lits)
     {
-        out.clear();
-        bool taut = false;
-        for (Lit l : pos) {
-            if (l.var() == v)
-                continue;
-            if (!mark[static_cast<size_t>(l.index())]) {
-                mark[static_cast<size_t>(l.index())] = 1;
-                out.push_back(l);
+        resLits.clear();
+        resEnd.clear();
+        negLits.clear();
+        negEnd.clear();
+        for (int ni : negOrig) {
+            for (Lit l : s.clauses[static_cast<size_t>(ni)].lits) {
+                if (l.var() != v)
+                    negLits.push_back(l);
             }
+            negEnd.push_back(negLits.size());
         }
-        for (Lit l : neg) {
-            if (l.var() == v)
-                continue;
-            if (mark[static_cast<size_t>((~l).index())]) {
-                taut = true;
-                break;
-            }
-            if (!mark[static_cast<size_t>(l.index())]) {
+        const size_t size_limit = s.opts.simp.resolventSizeLimit;
+        for (int pi : posOrig) {
+            const std::vector<Lit> &pos =
+                s.clauses[static_cast<size_t>(pi)].lits;
+            // Clauses hold no duplicate or complementary literals,
+            // so marking the pos clause once serves every partner: a
+            // neg literal whose complement is marked makes the
+            // resolvent a tautology, a marked one is already in it.
+            for (Lit l : pos)
                 mark[static_cast<size_t>(l.index())] = 1;
-                out.push_back(l);
+            bool ok = true;
+            for (size_t k = 0; k < negEnd.size(); k++) {
+                const Lit *nb =
+                    negLits.data() + (k == 0 ? 0 : negEnd[k - 1]);
+                const Lit *ne = negLits.data() + negEnd[k];
+                bool taut = false;
+                for (const Lit *q = nb; q != ne; q++) {
+                    if (mark[static_cast<size_t>((~*q).index())]) {
+                        taut = true;
+                        break;
+                    }
+                }
+                if (taut)
+                    continue;
+                size_t begin = resLits.size();
+                for (Lit l : pos) {
+                    if (l.var() != v)
+                        resLits.push_back(l);
+                }
+                for (const Lit *q = nb; q != ne; q++) {
+                    if (!mark[static_cast<size_t>(q->index())])
+                        resLits.push_back(*q);
+                }
+                if (resLits.size() - begin > size_limit ||
+                    resLits.size() > max_lits) {
+                    ok = false;
+                    break;
+                }
+                resEnd.push_back(resLits.size());
+                if (resEnd.size() > max_resolvents) {
+                    ok = false;
+                    break;
+                }
             }
+            for (Lit l : pos)
+                mark[static_cast<size_t>(l.index())] = 0;
+            if (!ok)
+                return false;
         }
-        for (Lit l : out)
-            mark[static_cast<size_t>(l.index())] = 0;
-        return !taut;
+        return true;
     }
 
-    /** Gather live clauses verified to contain the literal. */
+    /**
+     * Gather the live clauses containing the literal, in occurrence
+     * order. Entries for deleted clauses, and stale entries for
+     * clauses strengthened past the literal, never become valid
+     * again within a round (clauses only lose literals; indices are
+     * not reused), so they are compacted out of the list in place.
+     * Only the elimination pass gathers: the subsumption pass picks
+     * its scan list by raw list length and runs before any
+     * compaction.
+     */
     void gather(Lit l, std::vector<int> &all, std::vector<int> &orig)
     {
         all.clear();
         orig.clear();
-        for (int ci : occ[static_cast<size_t>(l.index())]) {
-            const Solver::Clause &c =
-                s.clauses[static_cast<size_t>(ci)];
-            if (c.deleted)
+        std::vector<int> &list = occ[static_cast<size_t>(l.index())];
+        size_t kept_n = 0;
+        for (int ci : list) {
+            uint8_t f = occFlags[static_cast<size_t>(ci)];
+            if (f & kDeleted)
                 continue;
-            // Occurrence lists go stale when clauses are
-            // strengthened; verify membership.
-            if (std::find(c.lits.begin(), c.lits.end(), l) ==
-                c.lits.end()) {
-                continue;
+            if (f & kShrunk) {
+                const std::vector<Lit> &lits =
+                    s.clauses[static_cast<size_t>(ci)].lits;
+                if (std::find(lits.begin(), lits.end(), l) ==
+                    lits.end()) {
+                    continue;
+                }
             }
+            list[kept_n++] = ci;
             all.push_back(ci);
-            if (!c.learned)
+            if (!(f & kLearned))
                 orig.push_back(ci);
         }
+        list.resize(kept_n);
     }
 
-    /** Add a BVE resolvent to the database (original clause). */
-    void addResolvent(const std::vector<Lit> &raw)
+    /**
+     * Add a BVE resolvent (literals [begin, end) of resLits) to the
+     * database as an original clause.
+     */
+    void addResolvent(size_t begin, size_t end)
     {
+        std::span<const Lit> raw(resLits.data() + begin, end - begin);
         // Satisfied resolvents impose nothing; skip without a proof
         // step (they are never part of the formula).
         for (Lit l : raw) {
@@ -458,7 +577,7 @@ class Simplifier
                 return;
         }
         if (s.proof)
-            s.proof->addClause(raw);
+            s.proof->addClause({raw.begin(), raw.end()});
         std::vector<Lit> stored;
         stored.reserve(raw.size());
         for (Lit l : raw) {
@@ -478,13 +597,15 @@ class Simplifier
             return;
         }
         int ci = static_cast<int>(s.clauses.size());
-        s.clauses.push_back(Solver::Clause{stored, false, false, 0,
-                                           s.claInc});
         sigs.push_back(simp::clauseSignature(stored));
         inQueue.push_back(0);
+        occFlags.push_back(0);
         for (Lit l : stored)
             occ[static_cast<size_t>(l.index())].push_back(ci);
         touch(stored);
+        s.clauses.push_back(Solver::Clause{std::move(stored), false,
+                                           false, 0, s.claInc});
+        s.clausesAdded++;
         pushQueue(ci);
     }
 
@@ -503,16 +624,14 @@ class Simplifier
             return false;
         }
         Lit pl(v, false), nl(v, true);
-        std::vector<int> pos_all, pos_orig, neg_all, neg_orig;
-        gather(pl, pos_all, pos_orig);
-        gather(nl, neg_all, neg_orig);
+        gather(pl, posAll, posOrig);
+        gather(nl, negAll, negOrig);
         const Solver::Options &o = s.opts;
-        if (pos_orig.size() + neg_orig.size() > o.simp.occurrenceLimit)
+        if (posOrig.size() + negOrig.size() > o.simp.occurrenceLimit)
             return false;
 
-        std::vector<std::vector<Lit>> resolvents;
         size_t limit =
-            pos_orig.size() + neg_orig.size() +
+            posOrig.size() + negOrig.size() +
             static_cast<size_t>(o.simp.growthLimit > 0
                                     ? o.simp.growthLimit
                                     : 0);
@@ -524,66 +643,46 @@ class Simplifier
         // wide XOR clauses that CDCL cannot propagate through
         // (observed: a 21 s reference-verify query became minutes).
         size_t lits_before = 0;
-        for (int ci : pos_orig)
+        for (int ci : posOrig)
             lits_before += s.clauses[static_cast<size_t>(ci)].lits.size();
-        for (int ci : neg_orig)
+        for (int ci : negOrig)
             lits_before += s.clauses[static_cast<size_t>(ci)].lits.size();
-        size_t lits_after = 0;
-        std::vector<Lit> res;
-        for (int pi : pos_orig) {
-            for (int ni : neg_orig) {
-                if (!resolve(s.clauses[static_cast<size_t>(pi)].lits,
-                             s.clauses[static_cast<size_t>(ni)].lits,
-                             v, res)) {
-                    continue; // tautology
-                }
-                if (res.size() > o.simp.resolventSizeLimit)
-                    return false;
-                lits_after += res.size();
-                if (lits_after > lits_before)
-                    return false;
-                resolvents.push_back(res);
-                if (resolvents.size() > limit)
-                    return false;
-            }
-        }
+        if (!resolveAll(v, limit, lits_before))
+            return false;
 
         // Commit. Resolvents first (their RUP derivation uses the
         // parents), then the model-reconstruction records, then the
         // deletions.
-        for (const auto &r : resolvents) {
-            addResolvent(r);
+        for (size_t k = 0; k < resEnd.size(); k++) {
+            addResolvent(k == 0 ? 0 : resEnd[k - 1], resEnd[k]);
             if (refuted)
                 return true;
         }
-        bool store_pos = pos_orig.size() <= neg_orig.size();
-        const std::vector<int> &side = store_pos ? pos_orig : neg_orig;
+        bool store_pos = posOrig.size() <= negOrig.size();
+        const std::vector<int> &side = store_pos ? posOrig : negOrig;
         Lit side_lit = store_pos ? pl : nl;
         for (int ci : side) {
-            const std::vector<Lit> &lits =
-                s.clauses[static_cast<size_t>(ci)].lits;
-            std::vector<Lit> rec;
-            rec.reserve(lits.size());
-            rec.push_back(side_lit);
-            for (Lit l : lits) {
+            s.elimLits.push_back(side_lit);
+            for (Lit l : s.clauses[static_cast<size_t>(ci)].lits) {
                 if (l != side_lit)
-                    rec.push_back(l);
+                    s.elimLits.push_back(l);
             }
-            s.elimRecords.push_back(std::move(rec));
+            s.elimEnd.push_back(s.elimLits.size());
         }
         // Default: the polarity satisfying the larger (unstored)
         // side; extendModel() flips it only when a stored clause
         // would otherwise go unsatisfied.
-        s.elimRecords.push_back({store_pos ? nl : pl});
+        s.elimLits.push_back(store_pos ? nl : pl);
+        s.elimEnd.push_back(s.elimLits.size());
 
-        for (int ci : pos_all)
+        for (int ci : posAll)
             removeClause(ci);
-        for (int ci : neg_all)
+        for (int ci : negAll)
             removeClause(ci);
         s.elimV[static_cast<size_t>(v)] = 1;
         s.nEliminated++;
         s.simpStatistics.varsEliminated++;
-        if (pos_orig.empty() || neg_orig.empty())
+        if (posOrig.empty() || negOrig.empty())
             s.simpStatistics.pureLiterals++;
         return true;
     }
@@ -601,6 +700,28 @@ class Simplifier
                     changed = true;
             }
         }
+    }
+
+    /**
+     * Drop the round's deleted clauses (and those reduceDb deleted
+     * since the last round) from the clause array, keeping the
+     * survivors' relative order so the rebuilt watch lists come out
+     * in the same order as over the uncompacted array. Nothing holds
+     * a clause index across this point: the occurrence index dies
+     * with the round, the watch lists are rebuilt next, and every
+     * root literal's reason is -1 (cleared at round start; the round
+     * itself only enqueues reasonless units).
+     */
+    void compactClauses()
+    {
+        for (Lit l : s.trail) {
+            owl_assert(s.reasons[static_cast<size_t>(l.var())] == -1,
+                       "root literal with a reason during simplify");
+        }
+        auto dead = std::remove_if(
+            s.clauses.begin(), s.clauses.end(),
+            [](const Solver::Clause &c) { return c.deleted; });
+        s.clauses.erase(dead, s.clauses.end());
     }
 
     /**
@@ -694,11 +815,11 @@ Solver::extendModel()
     // polarity. Stored clauses only mention variables live at
     // elimination time or eliminated later (already restored by this
     // scan), so every literal read here is defined.
-    for (size_t i = elimRecords.size(); i-- > 0;) {
-        const std::vector<Lit> &rec = elimRecords[i];
+    for (size_t i = elimEnd.size(); i-- > 0;) {
+        size_t begin = i == 0 ? 0 : elimEnd[i - 1];
         bool forced = true;
-        for (size_t k = 1; k < rec.size(); k++) {
-            Lit l = rec[k];
+        for (size_t k = begin + 1; k < elimEnd[i]; k++) {
+            Lit l = elimLits[k];
             uint8_t mv = model[static_cast<size_t>(l.var())];
             uint8_t lv = mv == lUndef
                              ? lUndef
@@ -711,7 +832,7 @@ Solver::extendModel()
         }
         if (!forced)
             continue;
-        Lit x = rec[0];
+        Lit x = elimLits[begin];
         model[static_cast<size_t>(x.var())] =
             x.negated() ? lFalse : lTrue;
     }

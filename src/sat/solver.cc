@@ -248,6 +248,7 @@ Solver::addClauseInternal(std::vector<Lit> lits, bool learned)
 {
     int ci = clauses.size();
     clauses.push_back(Clause{std::move(lits), learned, false, 0, claInc});
+    clausesAdded++;
     attachClause(ci);
     return ci;
 }
@@ -545,10 +546,10 @@ Solver::reduceDb()
     // their live count by the value returned here, not by half.
     size_t deleted = cand.size() / 2;
     for (size_t i = 0; i < deleted; i++) {
-        clauses[cand[i]].deleted = true;
         statistics.learnedDeleted++;
         if (proof)
             proof->deleteClause(clauses[cand[i]].lits);
+        releaseClause(clauses[cand[i]]);
     }
     learnedLimit = learnedLimit + learnedLimit / 2;
     return deleted;
@@ -735,7 +736,7 @@ Solver::solve(const std::vector<Lit> &assumptions)
     // re-simplifying every tiny delta costs far more than it prunes
     // (a round is O(db), not O(delta): cleanup scan, occurrence
     // rebuild, watch rebuild, re-propagation).
-    size_t growth = clauses.size() - simpClausesSeen;
+    size_t growth = clausesAdded - simpClausesSeen;
     size_t trigger = std::max(opts.simp.minNewClauses,
                               simpClausesSeen / 8);
     if (opts.simp.enabled && (!simpEverRan || growth >= trigger)) {

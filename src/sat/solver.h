@@ -342,6 +342,15 @@ class Solver
      */
     uint64_t liveLearnedClauses() const;
 
+    /**
+     * The same count, maintained in O(1): incremented when a learned
+     * clause enters the database, decremented by every deletion
+     * (reduceDb, and the simplifier's subsumption, strengthening and
+     * elimination). Equal to liveLearnedClauses() at every quiescent
+     * point.
+     */
+    uint64_t liveLearnedCount() const { return liveLearned; }
+
     /** Limit wall-clock time for subsequent solve() calls; 0=none. */
     void setTimeLimit(std::chrono::milliseconds limit) { timeLimit = limit; }
     /** Limit conflicts for subsequent solve() calls; 0 = none. */
@@ -504,8 +513,9 @@ class Solver
     /**
      * Learned clauses live in the DB, maintained exactly: incremented
      * when a learnt clause is attached, decremented by the number
-     * reduceDb() actually deleted. A member (not a solve() local) so
-     * reduction timing stays correct across incremental solve calls.
+     * reduceDb() actually deleted and by every learned clause the
+     * simplifier removes. A member (not a solve() local) so reduction
+     * timing stays correct across incremental solve calls.
      */
     uint64_t liveLearned = 0;
     /** Model snapshot (per var) taken when solve() returns Sat. */
@@ -523,12 +533,23 @@ class Solver
      * variable's literal first), followed by a one-literal default
      * record, pushed in elimination order. extendModel() replays it
      * backwards so every returned model covers eliminated variables
-     * and satisfies the pre-elimination formula.
+     * and satisfies the pre-elimination formula. Stored flat: record
+     * k is elimLits[elimEnd[k-1], elimEnd[k]) (from 0 for k = 0).
      */
-    std::vector<std::vector<Lit>> elimRecords;
+    std::vector<Lit> elimLits;
+    std::vector<size_t> elimEnd;
     SimpStats simpStatistics;
-    /** clauses.size() after the last simplification round. */
+    /**
+     * Clauses ever appended to `clauses` (input, learned, BVE
+     * resolvents). Each simplification round compacts deleted
+     * clauses out of the array, so the solve-entry trigger measures
+     * database growth on this running count, not on clauses.size().
+     */
+    size_t clausesAdded = 0;
+    /** clausesAdded after the last simplification round. */
     size_t simpClausesSeen = 0;
+    /** Index of the first clause added since the last round. */
+    size_t simpNewFrom = 0;
     /** trail.size() after the last simplification round. */
     size_t simpTrailSeen = 0;
     bool simpEverRan = false;
@@ -620,6 +641,16 @@ class Solver
     Lit pickBranchLit();
     void attachClause(int ci);
     int addClauseInternal(std::vector<Lit> lits, bool learned);
+    /**
+     * Mark a clause deleted and free its literals. Callers log the
+     * DRAT deletion (which needs the literals) first; watchers of a
+     * deleted clause are dropped lazily without reading them.
+     */
+    static void releaseClause(Clause &c)
+    {
+        c.deleted = true;
+        std::vector<Lit>().swap(c.lits);
+    }
     /** @return the number of learned clauses actually deleted. */
     size_t reduceDb();
     void bumpVar(int var);
@@ -639,7 +670,7 @@ class Solver
 
     /**
      * Complete the model snapshot for eliminated variables by
-     * replaying elimRecords backwards (MiniSat's extend-model).
+     * replaying the elimination records backwards (MiniSat's extend-model).
      * Runs right after the Sat snapshot so modelValue() — and the
      * portfolio/incremental model lifts built on it — always covers
      * every variable.

@@ -294,7 +294,7 @@ IncrementalContext::check(Model *model, const SolveLimits &limits,
 
     istats.solveCalls++;
     if (istats.solveCalls > 1)
-        istats.clausesReused += solvers[0]->liveLearnedClauses();
+        istats.clausesReused += solvers[0]->liveLearnedCount();
 
     std::vector<sat::Stats> pre;
     pre.reserve(solvers.size());

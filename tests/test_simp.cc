@@ -9,10 +9,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "base/logging.h"
+#include "designs/alu_machine.h"
+#include "oyster/symeval.h"
+#include "smt/bitblast.h"
+#include "smt/term.h"
 #include "sat/drat.h"
 #include "sat/simp.h"
 #include "sat/solver.h"
@@ -397,4 +403,339 @@ TEST(Simp, IncrementalSessionWithActivationLiterals)
     }
     for (int g = 0; g < kGroups; g++)
         EXPECT_FALSE(s.isEliminated(act[g]));
+}
+
+// ---------------------------------------------------------------------
+// Golden fingerprints: the simplifier's exact output, pinned.
+//
+// Each input is solved with simplification on and everything a
+// caller can observe through the public API is hashed: the verdict,
+// SimpStats, the search counters, the (reconstructed) model, the
+// failed-assumption cores and the DRAT proof. A performance change to
+// sat/simp.cc must leave every digest unchanged — the rewrites, their
+// order and the resulting watch order are part of the contract. A
+// policy change (different limits, different rewrites) re-records the
+// digests and says so; the failure message prints the new value.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** FNV-1a over 64-bit words. */
+class Fingerprint
+{
+  public:
+    void add(uint64_t x)
+    {
+        for (int i = 0; i < 8; i++) {
+            h ^= (x >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    }
+    void addLits(const std::vector<Lit> &lits)
+    {
+        add(lits.size());
+        for (Lit l : lits)
+            add(static_cast<uint64_t>(l.index()));
+    }
+    /** Verdict, counters and model of a solve() that just returned. */
+    void addSolve(const Solver &s, Result r)
+    {
+        add(static_cast<uint64_t>(r));
+        const owl::sat::SimpStats &ss = s.simpStats();
+        for (uint64_t x :
+             {ss.rounds, ss.varsEliminated, ss.pureLiterals,
+              ss.clausesSubsumed, ss.clausesStrengthened,
+              ss.failedLiterals, ss.resolventsAdded, ss.clausesDeleted})
+            add(x);
+        const owl::sat::Stats &st = s.stats();
+        for (uint64_t x : {st.conflicts, st.decisions, st.propagations,
+                           st.restarts, st.learnedClauses,
+                           st.learnedDeleted})
+            add(x);
+        if (r == Result::Sat) {
+            for (int v = 0; v < s.numVars(); v++)
+                add(s.modelValue(v) ? 1 : 0);
+        } else if (r == Result::Unsat && s.lastUnsatWasConditional()) {
+            addLits(s.failedAssumptions());
+        }
+    }
+    void addProof(const DratProof &proof)
+    {
+        add(proof.steps.size());
+        for (const auto &step : proof.steps) {
+            add(step.isDelete ? 1 : 0);
+            addLits(step.lits);
+        }
+    }
+    uint64_t value() const { return h; }
+
+  private:
+    uint64_t h = 0xcbf29ce484222325ull;
+};
+
+std::string
+hex(uint64_t x)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "0x%016llx",
+                  static_cast<unsigned long long>(x));
+    return buf;
+}
+
+/** Append l to c unless c already mentions its variable. */
+void
+pushDistinct(std::vector<Lit> &c, Lit l)
+{
+    for (Lit e : c) {
+        if (e.var() == l.var())
+            return;
+    }
+    c.push_back(l);
+}
+
+/**
+ * A literal over a variable below `range`, sign drawn first. Two
+ * statements, so the draw order does not depend on the compiler's
+ * argument evaluation order.
+ */
+Lit
+randomLit(std::mt19937 &rng, int range)
+{
+    bool negated = rng() % 2 == 1;
+    int var = static_cast<int>(rng() % static_cast<uint32_t>(range));
+    return Lit(var, negated);
+}
+
+/**
+ * A random Tseitin circuit (AND/OR/XOR gates over earlier signals —
+ * the bit-blaster's shape, rich in BVE targets) plus random 3-4
+ * literal side constraints, mostly over the inputs. Raw mt19937
+ * draws only: the standard distributions are implementation-defined
+ * and would make the digests compiler-dependent.
+ */
+Cnf
+randomCircuitCnf(uint32_t seed, int inputs, int gates, int side)
+{
+    std::mt19937 rng(seed);
+    Cnf cnf;
+    cnf.numVars = inputs + gates;
+    auto lit = [&](int v) { return Lit(v, rng() % 2 == 1); };
+    for (int g = inputs; g < inputs + gates; g++) {
+        Lit a = lit(static_cast<int>(rng() % g));
+        Lit b = lit(static_cast<int>(rng() % g));
+        if (a.var() == b.var())
+            b = lit((a.var() + 1) % g);
+        Lit y(g, false);
+        switch (rng() % 3) {
+          case 0: // y = a & b
+            cnf.clauses.push_back({~y, a});
+            cnf.clauses.push_back({~y, b});
+            cnf.clauses.push_back({y, ~a, ~b});
+            break;
+          case 1: // y = a | b
+            cnf.clauses.push_back({y, ~a});
+            cnf.clauses.push_back({y, ~b});
+            cnf.clauses.push_back({~y, a, b});
+            break;
+          default: // y = a ^ b
+            cnf.clauses.push_back({~y, a, b});
+            cnf.clauses.push_back({~y, ~a, ~b});
+            cnf.clauses.push_back({y, ~a, b});
+            cnf.clauses.push_back({y, a, ~b});
+            break;
+        }
+    }
+    for (int i = 0; i < side; i++) {
+        std::vector<Lit> c;
+        size_t width = 3 + (rng() % 8 == 0 ? 1 : 0);
+        while (c.size() < width) {
+            // Mostly over the inputs (random 3-SAT: the search-hard
+            // part), sometimes over a gate output.
+            int range = rng() % 4 == 0 ? cnf.numVars : inputs;
+            pushDistinct(c, lit(static_cast<int>(rng() % range)));
+        }
+        cnf.clauses.push_back(c);
+    }
+    return cnf;
+}
+
+/** Solve a CNF in a fresh simplifying solver and fingerprint it. */
+uint64_t
+fingerprintOneShot(const Cnf &cnf, const Solver::Options &o)
+{
+    Solver s(o);
+    DratProof proof;
+    s.setProofSink(&proof);
+    s.loadCnf(cnf);
+    Result r = s.solve();
+    Fingerprint fp;
+    fp.addSolve(s, r);
+    fp.addProof(proof);
+    return fp.value();
+}
+
+/**
+ * The CNF of a bit-blasted alu-machine query: the sketch evaluated
+ * symbolically for three cycles over free holes, initial state and
+ * inputs, asserting that every register and one register-file word
+ * end up different from where they started.
+ */
+Cnf
+aluMachineQueryCnf()
+{
+    owl::designs::CaseStudy cs = owl::designs::makeAluMachine();
+    owl::smt::TermTable tt;
+    owl::oyster::SymbolicEvaluator ev(cs.sketch, tt);
+    for (const std::string &hole : cs.sketch.holeNames()) {
+        ev.setHole(hole, tt.freshVar("hole_" + hole,
+                                     cs.sketch.decl(hole).width));
+    }
+    owl::oyster::SymRun run = ev.run(3);
+    Solver s;
+    Cnf cnf;
+    s.setCaptureCnf(&cnf);
+    owl::smt::BitBlaster blaster(tt, s);
+    for (const auto &[name, term] : run.states.back().regs)
+        blaster.assertTrue(tt.mkNe(term, run.regAt(name, 0)));
+    owl::smt::TermRef addr = tt.constant(2, 1);
+    blaster.assertTrue(
+        tt.mkNe(run.readMemAt(tt, "regfile", 3, addr),
+                run.readMemAt(tt, "regfile", 0, addr)));
+    s.setCaptureCnf(nullptr);
+    return cnf;
+}
+
+} // namespace
+
+TEST(Simp, GoldenFingerprints)
+{
+    // One-shot solves of random circuits across the SAT/UNSAT
+    // boundary, with the default limits and with inprocessing and
+    // database reduction forced often enough to run mid-search.
+    const uint64_t kRandom[] = {
+        0x03b6abd86593d227ull, 0x5f980419478585b0ull,
+        0xcf65f66e4da6cafcull, 0x9c5db05ca489f9aaull,
+        0xcf1065c40ef65c4dull, 0xb7a4eeae5bd290c9ull,
+    };
+    Solver::Options busy = simpOn();
+    busy.simp.inprocessConflicts = 100;
+    busy.restartBase = 50;
+    busy.learnedLimitBase = 120;
+    for (uint32_t i = 0; i < 6; i++) {
+        Cnf cnf = randomCircuitCnf(0x51AE11 + i, 100, 240,
+                                   400 + 30 * static_cast<int>(i));
+        uint64_t got =
+            fingerprintOneShot(cnf, i % 2 == 0 ? simpOn() : busy);
+        EXPECT_EQ(hex(got), hex(kRandom[i])) << "random CNF " << i;
+    }
+
+    // An activation-literal session: guarded batches of clauses over
+    // a frozen interface, each solved under a rotating subset of the
+    // activations, so later rounds see new clauses, learned clauses,
+    // reduced clauses and earlier eliminations.
+    {
+        Solver::Options o = busy;
+        o.simp.minNewClauses = 24;
+        Solver s(o);
+        DratProof proof;
+        s.setProofSink(&proof);
+        Cnf base = randomCircuitCnf(0xAC7, 60, 160, 120);
+        s.loadCnf(base);
+        for (int v = 0; v < 60; v++)
+            s.setFrozen(v);
+        std::mt19937 rng(0xAC71);
+        std::vector<int> acts;
+        Fingerprint fp;
+        for (int batch = 0; batch < 8; batch++) {
+            int act = s.newVar();
+            s.setFrozen(act);
+            acts.push_back(act);
+            for (int k = 0; k < 40; k++) {
+                std::vector<Lit> c = {Lit(act, true)};
+                while (c.size() < 4)
+                    pushDistinct(c, randomLit(rng, 60));
+                s.addClause(c);
+            }
+            std::vector<Lit> assumptions;
+            for (size_t a = 0; a < acts.size(); a++) {
+                if ((a + static_cast<size_t>(batch)) % 3 != 0)
+                    assumptions.push_back(Lit(acts[a], false));
+            }
+            fp.addSolve(s, s.solve(assumptions));
+        }
+        fp.addProof(proof);
+        EXPECT_EQ(hex(fp.value()), hex(0x8076394b01e87c95ull))
+            << "activation-literal session";
+    }
+
+    // A real bit-blasted design query.
+    {
+        Cnf cnf = aluMachineQueryCnf();
+        EXPECT_EQ(hex(fingerprintOneShot(cnf, simpOn())),
+                  hex(0x163227fc849721daull))
+            << "alu-machine query (" << cnf.numVars << " vars, "
+            << cnf.clauses.size() << " clauses)";
+    }
+}
+
+// ---------------------------------------------------------------------
+// Live learned-clause accounting. liveLearnedCount() is maintained in
+// O(1) and is what the incremental SMT layer reports as
+// cegis.incremental.clauses_reused; liveLearnedClauses() recounts the
+// database. They must agree after every step that deletes learned
+// clauses: BVE, reduceDb, and incremental solves running both.
+// ---------------------------------------------------------------------
+
+TEST(Simp, LiveLearnedCountMatchesRecount)
+{
+    Solver::Options o = simpOn();
+    o.learnedLimitBase = 40;
+    o.simp.minNewClauses = 16;
+    Solver s(o);
+    constexpr int kInputs = 100;
+    Cnf cnf = randomCircuitCnf(0x1EA7, kInputs, 240, 400);
+    s.loadCnf(cnf);
+    // Everything frozen for the first solve, so its learned clauses
+    // mention gate outputs that a later round can eliminate.
+    for (int v = 0; v < cnf.numVars; v++)
+        s.setFrozen(v);
+    auto same = [&](const std::string &step) {
+        EXPECT_EQ(s.liveLearnedCount(), s.liveLearnedClauses())
+            << "after " << step;
+    };
+    same("loading");
+
+    ASSERT_EQ(s.solve(), Result::Sat);
+    same("first solve");
+    ASSERT_GT(s.stats().learnedDeleted, 0u) << "reduceDb never ran";
+
+    // Release the gate outputs and fix one input to its model value:
+    // the explicit round's cleanup touches the gates over that input
+    // and elimination cascades from there, deleting learned clauses
+    // that mention eliminated gates.
+    for (int v = kInputs; v < cnf.numVars; v++)
+        s.setFrozen(v, false);
+    s.addClause(Lit(0, !s.modelValue(0)));
+    uint64_t deleted = s.stats().learnedDeleted;
+    uint64_t eliminated = s.simpStats().varsEliminated;
+    ASSERT_TRUE(s.simplify());
+    same("simplify");
+    EXPECT_GT(s.simpStats().varsEliminated, eliminated);
+    EXPECT_GT(s.stats().learnedDeleted, deleted)
+        << "BVE deleted no learned clause";
+
+    // Incremental solves over the (still frozen) inputs: new clauses
+    // trigger solve-entry rounds, search triggers reductions.
+    std::mt19937 rng(0x1EA8);
+    for (int step = 0; step < 6; step++) {
+        for (int k = 0; k < 20; k++) {
+            std::vector<Lit> c;
+            while (c.size() < 3)
+                pushDistinct(c, randomLit(rng, kInputs));
+            s.addClause(c);
+        }
+        s.solve({randomLit(rng, kInputs)});
+        same("incremental solve " + std::to_string(step));
+    }
 }

@@ -76,6 +76,43 @@ def check_span(span, path, v2):
         check_span(child, "%s/children[%d]" % (path, i), v2)
 
 
+SIMPLIFY_PHASE_ATTRS = ("cleanup_ns", "subsume_ns", "eliminate_ns",
+                        "rebuild_probe_ns")
+
+
+def iter_spans(spans, path):
+    todo = [(s, "%s[%d]" % (path, i)) for i, s in enumerate(spans)]
+    while todo:
+        s, p = todo.pop()
+        yield s, p
+        todo.extend((c, "%s/children[%d]" % (p, i))
+                    for i, c in enumerate(s.get("children", [])))
+
+
+def check_simplify_phases(spans, require):
+    """A sat.simplify span times its four phases in nanoseconds; the
+    phases run back to back inside the span, so their sum can never
+    exceed its duration. With `require`, every such span must carry
+    them (exports from this tree); otherwise they are checked only
+    where present."""
+    for span, path in iter_spans(spans, "$/spans"):
+        if span["name"] != "sat.simplify":
+            continue
+        attrs = span.get("attrs", {})
+        present = [k for k in SIMPLIFY_PHASE_ATTRS if k in attrs]
+        if not present and not require:
+            continue
+        total = 0
+        for k in SIMPLIFY_PHASE_ATTRS:
+            if not is_uint(attrs.get(k)):
+                fail(path, "sat.simplify span needs a non-negative "
+                           "integer attr %r" % k)
+            total += attrs[k]
+        if total > span["dur_ns"]:
+            fail(path, "sat.simplify phases sum to %d ns, more than "
+                       "the span's %d ns" % (total, span["dur_ns"]))
+
+
 def span_names(spans):
     names = set()
     todo = list(spans)
@@ -134,6 +171,7 @@ def validate_obs(doc):
         fail("$/spans", "missing or not an array")
     for i, span in enumerate(spans):
         check_span(span, "$/spans[%d]" % i, v2)
+    check_simplify_phases(spans, require=False)
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         fail("$/meta", "must be an object")
@@ -289,7 +327,8 @@ def check_preprocess_stats(doc):
     """A default (preprocessing-on) synthesis run exports the full
     sat.preprocess.* family, and the counters are internally
     consistent: the simplifier cannot eliminate more variables than
-    the solvers ever allocated."""
+    the solvers ever allocated, and every round's phase times fit
+    inside its span."""
     counters = doc["counters"]
     for name in PREPROCESS_COUNTERS:
         if name not in counters:
@@ -303,6 +342,7 @@ def check_preprocess_stats(doc):
     if counters["sat.preprocess.rounds"] <= 0:
         fail("$/counters/sat.preprocess.rounds",
              "preprocessing enabled but no simplification round ran")
+    check_simplify_phases(doc["spans"], require=True)
 
 
 def check_no_preprocess_stats(doc):
