@@ -3,6 +3,7 @@
 #include <functional>
 
 #include "base/logging.h"
+#include "obs/obs.h"
 
 namespace owl::synth
 {
@@ -16,15 +17,18 @@ using smt::TermRef;
 namespace
 {
 
-/** Collect the node indices of Load expressions inside an expr tree. */
+/** Collect the node indices of Load expressions inside an expr DAG. */
 void
 collectLoads(const ila::IlaContext &ctx, int32_t root,
              std::set<int32_t> &out)
 {
     std::vector<int32_t> stack{root};
+    std::set<int32_t> seen;
     while (!stack.empty()) {
         int32_t cur = stack.back();
         stack.pop_back();
+        if (!seen.insert(cur).second)
+            continue;
         const IlaNode &n = ctx.node(cur);
         if (n.op == IlaOp::Load)
             out.insert(cur);
@@ -75,6 +79,24 @@ SpecCompiler::translateScalarRead(const StateInfo &info,
 
 TermRef
 SpecCompiler::translate(int32_t node_idx)
+{
+    // Kids precede their parents in the ILA pool, so the first root
+    // translated sizes the memo for its whole DAG.
+    size_t i = static_cast<size_t>(node_idx);
+    if (i >= memo.size())
+        memo.resize(i + 1);
+    if (memo[i].valid()) {
+        hits++;
+        return memo[i];
+    }
+    TermRef t = translateNode(node_idx);
+    memo[i] = t;
+    translated++;
+    return t;
+}
+
+TermRef
+SpecCompiler::translateNode(int32_t node_idx)
 {
     const ila::IlaContext &ctx = spec.ctx();
     const IlaNode &n = ctx.node(node_idx);
@@ -249,8 +271,40 @@ SpecCompiler::postForMemory(const StateInfo &info, const AbsEntry &entry,
     }
 }
 
+namespace
+{
+
+/** A spec.compile span that books the memo's work when it closes. */
+class CompileSpan
+{
+  public:
+    explicit CompileSpan(const SpecCompiler &sc)
+        : span("spec.compile"), sc(sc), hits0(sc.memoHits())
+    {
+    }
+    ~CompileSpan()
+    {
+        span.attr("ila_nodes", sc.nodesTranslated());
+        span.attr("memo_hits", sc.memoHits() - hits0);
+    }
+
+  private:
+    obs::ScopedSpan span;
+    const SpecCompiler &sc;
+    uint64_t hits0;
+};
+
+} // namespace
+
 InstrConditions
 SpecCompiler::compileInstr(const ila::Instr &instr)
+{
+    CompileSpan span(*this);
+    return compile(instr);
+}
+
+InstrConditions
+SpecCompiler::compile(const ila::Instr &instr)
 {
     InstrConditions out;
     out.name = instr.name();
@@ -302,15 +356,17 @@ smt::TermRef
 SpecCompiler::fetchTerm()
 {
     owl_assert(spec.hasFetch(), "specification has no fetch function");
+    CompileSpan span(*this);
     return translate(spec.fetch().idx());
 }
 
 std::vector<InstrConditions>
 SpecCompiler::compileAll()
 {
+    CompileSpan span(*this);
     std::vector<InstrConditions> out;
     for (const auto &i : spec.instrs())
-        out.push_back(compileInstr(*i));
+        out.push_back(compile(*i));
     return out;
 }
 

@@ -20,10 +20,19 @@
  * the synthesizer to deassert mem_write/jump/... for unrelated
  * instructions (paper §4.1.1, Figure 7 discussion).
  *
+ * Translation is memoized per compiler instance by ILA node index, so
+ * each node of the spec DAG is translated once however many paths
+ * reach it: compiling a query takes time linear in its DAG. The term
+ * table hash-conses, so the memo changes no term, only how often the
+ * same term is rebuilt. The memo belongs to the instance; nothing is
+ * shared across compilers or threads.
+ *
  * The compiler also translates decode conditions into *Oyster*
  * expressions over the datapath's decode wires (via the α fetch wire);
  * the control union uses these as the precondition wires of the
- * generated control logic.
+ * generated control logic. That translation is deliberately not
+ * memoized: Oyster expressions are not hash-consed, so sharing nodes
+ * would change the generated design.
  */
 
 #ifndef OWL_CORE_SPEC_COMPILER_H
@@ -81,6 +90,11 @@ class SpecCompiler
                                           const ila::Instr &instr,
                                           oyster::Design &design);
 
+    /** Distinct ILA nodes this compiler has translated so far. */
+    uint64_t nodesTranslated() const { return translated; }
+    /** Translations answered from the memo so far. */
+    uint64_t memoHits() const { return hits; }
+
   private:
     const ila::Ila &spec;
     const AbsFunc &alpha;
@@ -89,8 +103,15 @@ class SpecCompiler
     const oyster::Design &design;
     /** ILA node indices of Loads inside the fetch expression. */
     std::set<int32_t> fetchLoads;
+    /** Term of each translated ILA node, by node index. */
+    std::vector<smt::TermRef> memo;
+    uint64_t translated = 0;
+    uint64_t hits = 0;
 
+    InstrConditions compile(const ila::Instr &instr);
+    /** Memoized translation of one ILA node. */
     smt::TermRef translate(int32_t node_idx);
+    smt::TermRef translateNode(int32_t node_idx);
     smt::TermRef translateScalarRead(const ila::StateInfo &info,
                                      const AbsEntry &entry);
     /** Flatten a memory-sorted expr into base + store list. */

@@ -203,10 +203,13 @@ Solver::addClause(std::vector<Lit> lits)
     if (unsatisfiable)
         return false;
 
-    // Remove duplicates and satisfied/false literals at level 0.
+    // Remove duplicates and satisfied/false literals at level 0, in
+    // place: survivors are compacted to the front. The write index
+    // never passes i, so lits[i - 1] and lits[i + 1] still hold their
+    // sorted values when read.
     std::sort(lits.begin(), lits.end(),
               [](Lit a, Lit b) { return a.index() < b.index(); });
-    std::vector<Lit> out;
+    size_t kept = 0;
     for (size_t i = 0; i < lits.size(); i++) {
         Lit l = lits[i];
         if (i + 1 < lits.size() && lits[i + 1] == ~l)
@@ -217,10 +220,11 @@ Solver::addClause(std::vector<Lit> lits)
             return true; // already satisfied
         if (value(l) == lFalse)
             continue; // falsified at level 0, drop
-        out.push_back(l);
+        lits[kept++] = l;
     }
+    lits.resize(kept);
 
-    if (out.empty()) {
+    if (lits.empty()) {
         unsatisfiable = true;
         // The input clause's literals are all falsified by root-level
         // propagation, so the checker derives the conflict from the
@@ -229,8 +233,8 @@ Solver::addClause(std::vector<Lit> lits)
             proof->addClause({});
         return false;
     }
-    if (out.size() == 1) {
-        enqueue(out[0], -1);
+    if (lits.size() == 1) {
+        enqueue(lits[0], -1);
         if (propagate() != -1) {
             unsatisfiable = true;
             if (proof)
@@ -239,7 +243,7 @@ Solver::addClause(std::vector<Lit> lits)
         }
         return true;
     }
-    addClauseInternal(std::move(out), false);
+    addClauseInternal(std::move(lits), false);
     return true;
 }
 

@@ -153,7 +153,7 @@ TermTable::baseRead(int mem_id, TermRef addr, int data_width)
 
 int
 TermTable::registerTable(const std::string &name, int elem_width,
-                         std::vector<BitVec> entries)
+                         const std::vector<BitVec> &entries)
 {
     // Deduplicate by contents so the spec side and the datapath side
     // of e.g. the AES S-box share one table id (and thus hash-cons
@@ -164,7 +164,7 @@ TermTable::registerTable(const std::string &name, int elem_width,
             return i;
         }
     }
-    tables.push_back(TableInfo{name, elem_width, std::move(entries)});
+    tables.push_back(TableInfo{name, elem_width, entries});
     return tables.size() - 1;
 }
 

@@ -130,9 +130,12 @@ class TermTable
     /** Uninterpreted base-state read of memory mem_id at addr. */
     TermRef baseRead(int mem_id, TermRef addr, int data_width);
 
-    /** Register a constant table; returns its id (deduplicated). */
+    /**
+     * Register a constant table; returns its id. Deduplicated by
+     * contents: the entries are copied only when the table is new.
+     */
     int registerTable(const std::string &name, int elem_width,
-                      std::vector<BitVec> entries);
+                      const std::vector<BitVec> &entries);
     /** Lookup into a registered table by symbolic index. */
     TermRef lookup(int table_id, TermRef index);
 

@@ -12,8 +12,11 @@
 #include <chrono>
 #include <random>
 
+#include "sat/drat.h"
 #include "sat/solver.h"
 
+using owl::sat::DratProof;
+using owl::sat::DratStep;
 using owl::sat::Lit;
 using owl::sat::Result;
 using owl::sat::Solver;
@@ -541,4 +544,133 @@ TEST(Sat, FailedAssumptionSolvesLeaveSolverSound)
                                       << round;
     }
     EXPECT_EQ(inc.solve(), Result::Sat);
+}
+
+// ---------------------------------------------------------------------
+// addClause normalization: literals sorted by index, duplicates and
+// root-false literals dropped, tautologies and root-satisfied clauses
+// ignored, a lone survivor enqueued and propagated, no survivor a
+// refutation.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/**
+ * The clauses `s` holds, in stored literal order, read back through
+ * the public API: a root unit on `sat_lit` satisfies every stored
+ * clause (each must contain it), and the next simplification round
+ * deletes them, logging their literals to the DRAT proof. Freezing
+ * every variable keeps elimination out of the round.
+ */
+std::vector<std::vector<Lit>>
+storedClauses(Solver &s, Lit sat_lit)
+{
+    DratProof proof;
+    s.setProofSink(&proof);
+    for (int v = 0; v < s.numVars(); v++)
+        s.setFrozen(v);
+    EXPECT_TRUE(s.addClause(sat_lit));
+    EXPECT_TRUE(s.simplify());
+    s.setProofSink(nullptr);
+    std::vector<std::vector<Lit>> out;
+    for (const DratStep &st : proof.steps) {
+        if (st.isDelete)
+            out.push_back(st.lits);
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(SatAddClause, StoresLiteralsInIndexOrder)
+{
+    Solver s;
+    int a = s.newVar(), b = s.newVar(), c = s.newVar();
+    EXPECT_TRUE(s.addClause(Lit(c, false), Lit(a, true), Lit(b, false)));
+    auto stored = storedClauses(s, Lit(b, false));
+    ASSERT_EQ(stored.size(), 1u);
+    EXPECT_EQ(stored[0], (std::vector<Lit>{Lit(a, true), Lit(b, false),
+                                           Lit(c, false)}));
+}
+
+TEST(SatAddClause, DropsDuplicates)
+{
+    Solver s;
+    int a = s.newVar(), b = s.newVar();
+    EXPECT_TRUE(s.addClause(std::vector<Lit>{
+        Lit(b, true), Lit(a, false), Lit(b, true), Lit(a, false),
+        Lit(b, true)}));
+    auto stored = storedClauses(s, Lit(a, false));
+    ASSERT_EQ(stored.size(), 1u);
+    EXPECT_EQ(stored[0], (std::vector<Lit>{Lit(a, false), Lit(b, true)}));
+}
+
+TEST(SatAddClause, IgnoresTautologies)
+{
+    Solver s;
+    int a = s.newVar(), b = s.newVar();
+    EXPECT_TRUE(s.addClause(Lit(b, false), Lit(a, true), Lit(b, true)));
+    EXPECT_TRUE(storedClauses(s, Lit(a, false)).empty());
+    // Nothing was constrained: every assignment of b is still open.
+    EXPECT_EQ(s.solve({Lit(b, true)}), Result::Sat);
+    EXPECT_EQ(s.solve({Lit(b, false)}), Result::Sat);
+}
+
+TEST(SatAddClause, IgnoresRootSatisfiedClauses)
+{
+    Solver s;
+    int a = s.newVar(), b = s.newVar(), c = s.newVar();
+    EXPECT_TRUE(s.addClause(Lit(a, false)));
+    EXPECT_TRUE(s.addClause(Lit(c, false), Lit(a, false), Lit(b, true)));
+    EXPECT_TRUE(storedClauses(s, Lit(a, false)).empty());
+    EXPECT_EQ(s.solve({Lit(b, false), Lit(c, true)}), Result::Sat);
+}
+
+TEST(SatAddClause, DropsRootFalseLiterals)
+{
+    Solver s;
+    int a = s.newVar(), b = s.newVar(), c = s.newVar();
+    EXPECT_TRUE(s.addClause(Lit(a, true)));
+    EXPECT_TRUE(s.addClause(Lit(c, false), Lit(a, false), Lit(b, false)));
+    auto stored = storedClauses(s, Lit(c, false));
+    ASSERT_EQ(stored.size(), 1u);
+    EXPECT_EQ(stored[0], (std::vector<Lit>{Lit(b, false), Lit(c, false)}));
+}
+
+TEST(SatAddClause, ReducedUnitIsEnqueuedAndPropagated)
+{
+    Solver s;
+    int a = s.newVar(), b = s.newVar(), c = s.newVar();
+    EXPECT_TRUE(s.addClause(Lit(b, true), Lit(c, false))); // b -> c
+    EXPECT_TRUE(s.addClause(Lit(a, true)));
+    // (a ∨ b ∨ a) with a false at the root is the unit b.
+    EXPECT_TRUE(s.addClause(Lit(a, false), Lit(b, false), Lit(a, false)));
+    std::vector<Lit> root = s.rootFixedLiterals();
+    EXPECT_EQ(root, (std::vector<Lit>{Lit(a, true), Lit(b, false),
+                                      Lit(c, false)}));
+    ASSERT_EQ(s.solve(), Result::Sat);
+    EXPECT_TRUE(s.modelValue(b));
+    EXPECT_TRUE(s.modelValue(c));
+    // c is fixed at the root, so only the assumption is refuted.
+    EXPECT_EQ(s.solve({Lit(c, true)}), Result::Unsat);
+    EXPECT_TRUE(s.lastUnsatWasConditional());
+}
+
+TEST(SatAddClause, ReducedEmptyRefutesWithEmptyDratClause)
+{
+    Solver s;
+    DratProof proof;
+    s.setProofSink(&proof);
+    int a = s.newVar(), b = s.newVar();
+    EXPECT_TRUE(s.addClause(Lit(a, true)));
+    EXPECT_TRUE(s.addClause(Lit(b, true)));
+    EXPECT_FALSE(s.addClause(Lit(b, false), Lit(a, false), Lit(b, false)));
+    ASSERT_EQ(proof.steps.size(), 1u);
+    EXPECT_FALSE(proof.steps[0].isDelete);
+    EXPECT_TRUE(proof.steps[0].lits.empty());
+    EXPECT_EQ(s.solve(), Result::Unsat);
+    // Latched: later clauses are refused without another proof step.
+    EXPECT_FALSE(s.addClause(Lit(a, false), Lit(b, false)));
+    EXPECT_EQ(proof.steps.size(), 1u);
 }

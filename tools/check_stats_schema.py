@@ -113,6 +113,25 @@ def check_simplify_phases(spans, require):
                        "the span's %d ns" % (total, span["dur_ns"]))
 
 
+def check_spec_compile_spans(spans):
+    """A spec.compile span books its compiler's memo: ila_nodes, the
+    distinct ILA nodes the compiler has translated so far (at least the
+    root it was asked for), and memo_hits, the translations this call
+    answered from the memo."""
+    for span, path in iter_spans(spans, "$/spans"):
+        if span["name"] != "spec.compile":
+            continue
+        attrs = span.get("attrs", {})
+        nodes = attrs.get("ila_nodes")
+        if not is_uint(nodes) or nodes < 1:
+            fail(path, "spec.compile span needs an integer attr "
+                       "'ila_nodes' >= 1, got %r" % (nodes,))
+        if not is_uint(attrs.get("memo_hits")):
+            fail(path, "spec.compile span needs a non-negative integer "
+                       "attr 'memo_hits', got %r"
+                 % (attrs.get("memo_hits"),))
+
+
 def span_names(spans):
     names = set()
     todo = list(spans)
@@ -172,6 +191,7 @@ def validate_obs(doc):
     for i, span in enumerate(spans):
         check_span(span, "$/spans[%d]" % i, v2)
     check_simplify_phases(spans, require=False)
+    check_spec_compile_spans(spans)
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         fail("$/meta", "must be an object")
@@ -484,7 +504,8 @@ def main():
         # plus unit propagation alone.)
         runs.append((["synth", "accumulator"],
                      ["cegis", "cegis.iter", "smt.checkSat",
-                      "sat.solve", "sat.simplify", "smt.inc.addGroup"],
+                      "sat.solve", "sat.simplify", "smt.inc.addGroup",
+                      "spec.compile"],
                      ["sat.propagations", "cegis.iterations",
                       "cegis.incremental.solve_calls",
                       "sat.preprocess.rounds",
@@ -493,10 +514,17 @@ def main():
                       check_preprocess_stats]))
         runs.append((["synth", "accumulator", "--no-incremental"],
                      ["cegis", "cegis.iter", "smt.checkSat",
-                      "sat.solve"],
+                      "sat.solve", "spec.compile"],
                      ["sat.propagations", "cegis.iterations"],
                      [check_query_histograms,
                       check_preprocess_stats]))
+        # Verification re-compiles every instruction's conditions
+        # against the completed design.
+        runs.append((["verify", "accumulator"],
+                     ["synthesize", "verifyDesign", "mutex_check",
+                      "spec.compile", "smt.checkSat"],
+                     ["verify.designs"],
+                     []))
         # The raw path must still behave like the seed: search does
         # real work (nonzero conflicts/decisions) and the preprocess
         # counter family stays silent.
