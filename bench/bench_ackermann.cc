@@ -84,7 +84,7 @@ row(const std::string &design, bool eager)
 
     CaseStudy cs = makeDesign(design);
     SynthesisOptions opts;
-    opts.eagerAckermann = eager;
+    opts.solver.eagerAckermann = eager;
     RowResult out;
     out.synth = synthesizeControl(cs.sketch, cs.spec, cs.alpha, opts);
     out.conflicts = reg.counterValue("sat.conflicts") - conflicts0;

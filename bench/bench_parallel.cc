@@ -2,8 +2,7 @@
  * @file
  * Parallel-execution benchmark: wall-clock for per-instruction control
  * synthesis sequentially (pinned and unpinned) and on the owl::exec
- * thread pool at 2/4/8 workers, plus a portfolio-SAT section racing
- * diversified solver configurations on a hard UNSAT instance.
+ * thread pool at 2/4/8 workers.
  *
  * Every measurement is a `parallel.row` obs span and the registry is
  * exported to BENCH_parallel.json (override with OWL_STATS_JSON) in
@@ -25,7 +24,6 @@
 #include "core/synthesis.h"
 #include "designs/accumulator.h"
 #include "designs/riscv_single_cycle.h"
-#include "exec/portfolio.h"
 #include "exec/thread_pool.h"
 #include "obs/obs.h"
 
@@ -82,52 +80,6 @@ row(const char *design, const char *mode, int jobs, CaseStudy cs,
     return r.seconds;
 }
 
-/** PHP(p, h) as a raw Cnf; UNSAT when p > h. */
-sat::Cnf
-pigeonholeCnf(int p, int h)
-{
-    sat::Cnf cnf;
-    cnf.numVars = p * h;
-    auto var = [h](int i, int j) { return i * h + j; };
-    for (int i = 0; i < p; i++) {
-        std::vector<sat::Lit> cl;
-        for (int j = 0; j < h; j++)
-            cl.push_back(sat::Lit(var(i, j), false));
-        cnf.clauses.push_back(cl);
-    }
-    for (int j = 0; j < h; j++)
-        for (int i1 = 0; i1 < p; i1++)
-            for (int i2 = i1 + 1; i2 < p; i2++)
-                cnf.clauses.push_back({sat::Lit(var(i1, j), true),
-                                       sat::Lit(var(i2, j), true)});
-    return cnf;
-}
-
-void
-portfolioRow(int configs, const sat::Cnf &cnf)
-{
-    obs::ScopedSpan span("parallel.row");
-    span.attr("mode", "portfolio");
-    span.attr("jobs", configs);
-
-    auto start = std::chrono::steady_clock::now();
-    exec::Portfolio race;
-    exec::PortfolioOutcome out = race.solve(
-        cnf, exec::diversifiedConfigs(configs));
-    double seconds = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - start)
-                         .count();
-    span.attr("millis", static_cast<int64_t>(seconds * 1000));
-    span.attr("winner", out.winner);
-    span.attr("conflicts",
-              static_cast<int64_t>(out.winnerStats.conflicts));
-    printf("%-12s %-12s %5d %10.3f %10s %8llu\n", "php(9,8)",
-           "portfolio", configs, seconds,
-           out.result == sat::Result::Unsat ? "unsat" : "?",
-           static_cast<unsigned long long>(out.winnerStats.conflicts));
-    fflush(stdout);
-}
-
 } // namespace
 
 int
@@ -151,12 +103,6 @@ main()
         row(d, "seq-nopin", 0, makeDesign(design), 0);
     for (int jobs : {2, 4, 8})
         row(d, "parallel", jobs, makeDesign(design), base);
-
-    // Portfolio section: one hard UNSAT formula, 1 (sequential
-    // baseline) vs diversified races.
-    sat::Cnf hard = pigeonholeCnf(9, 8);
-    for (int k : {1, 4})
-        portfolioRow(k, hard);
 
     const char *stats_path = std::getenv("OWL_STATS_JSON");
     if (!stats_path)

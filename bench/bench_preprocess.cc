@@ -75,7 +75,7 @@ row(const std::string &design, bool preprocess)
 
     CaseStudy cs = makeDesign(design);
     SynthesisOptions opts;
-    opts.preprocess = preprocess;
+    opts.solver.preprocess = preprocess;
     RowResult out;
     out.synth = synthesizeControl(cs.sketch, cs.spec, cs.alpha, opts);
     out.conflicts = reg.counterValue("sat.conflicts") - conflicts0;

@@ -50,13 +50,7 @@ CegisOptions::solveLimits() const
     if (hasDeadline())
         limits.timeLimit = remaining();
     limits.cancelFlag = cancelFlag;
-    limits.portfolioJobs = satPortfolio;
-    limits.portfolioSeed = satPortfolioSeed;
-    limits.checkProofs = checkProofs;
-    limits.profileSat = profileSat;
-    limits.preprocess = preprocess;
-    limits.inprocessConflicts = inprocessConflicts;
-    limits.eagerAckermann = eagerAckermann;
+    limits.solver = solver;
     return limits;
 }
 
@@ -95,6 +89,39 @@ applyCexAliases(const AbsFunc &alpha, Counterexample &cex)
         else
             cex.regs.erase(b);
     }
+}
+
+SymRun
+runWithCex(const oyster::Design &sketch, const AbsFunc &alpha,
+           TermTable &tt, const std::map<std::string, TermRef> &hole_terms,
+           Counterexample cex)
+{
+    applyCexAliases(alpha, cex);
+    SymbolicEvaluator ev(sketch, tt);
+    for (const auto &[name, term] : hole_terms)
+        ev.setHole(name, term);
+    for (const oyster::Decl &d : sketch.decls()) {
+        if (d.kind == oyster::DeclKind::Register) {
+            auto it = cex.regs.find(d.name);
+            BitVec v = it != cex.regs.end() ? it->second
+                                            : BitVec(d.width);
+            ev.setInitialReg(d.name, tt.constant(v));
+        } else if (d.kind == oyster::DeclKind::Input) {
+            for (int t = 1; t <= alpha.cycles(); t++) {
+                auto it = cex.inputs.find({d.name, t});
+                BitVec v = it != cex.inputs.end() ? it->second
+                                                  : BitVec(d.width);
+                ev.setInput(d.name, t, tt.constant(v));
+            }
+        } else if (d.kind == oyster::DeclKind::Memory) {
+            auto it = cex.mems.find(d.name);
+            ev.setConcreteMem(d.name,
+                              it != cex.mems.end()
+                                  ? it->second
+                                  : std::map<uint64_t, BitVec>{});
+        }
+    }
+    return ev.run(alpha.cycles());
 }
 
 InstrSynthesizer::InstrSynthesizer(const oyster::Design &sketch,
@@ -185,18 +212,10 @@ InstrSynthesizer::verifyCandidate(const ila::Instr &instr,
     SymRun run = ev.run(alpha.cycles());
 
     SpecCompiler sc(spec, alpha, tt, run, sketch);
-    InstrConditions conds = sc.compileInstr(instr);
-
-    // Pre ∧ assumes ∧ ¬(∧ posts): a model is a state where the
-    // candidate control violates the instruction's semantics.
-    std::vector<TermRef> assertions;
-    assertions.push_back(conds.pre);
-    for (TermRef a : conds.assumes)
-        assertions.push_back(a);
-    TermRef all_posts = tt.trueTerm();
-    for (TermRef p : conds.posts)
-        all_posts = tt.mkAnd(all_posts, p);
-    assertions.push_back(tt.mkNot(all_posts));
+    // A model is a state where the candidate control violates the
+    // instruction's semantics.
+    std::vector<TermRef> assertions =
+        sc.compileInstr(instr).violation(tt);
 
     smt::Model model;
     smt::SolveLimits lims = opts.solveLimits();
@@ -235,57 +254,11 @@ TermRef
 buildCexConstraint(const oyster::Design &sketch, const ila::Ila &spec,
                    const AbsFunc &alpha, TermTable &tt,
                    const std::map<std::string, TermRef> &hole_vars,
-                   const ila::Instr &instr, Counterexample cex)
+                   const ila::Instr &instr, const Counterexample &cex)
 {
-    applyCexAliases(alpha, cex);
-    SymbolicEvaluator ev(sketch, tt);
-    for (const auto &[name, var] : hole_vars)
-        ev.setHole(name, var);
-    // Pin every leaf to the counterexample's concrete state.
-    for (const oyster::Decl &d : sketch.decls()) {
-        if (d.kind == oyster::DeclKind::Register) {
-            auto it = cex.regs.find(d.name);
-            BitVec v = it != cex.regs.end() ? it->second
-                                            : BitVec(d.width);
-            ev.setInitialReg(d.name, tt.constant(v));
-        } else if (d.kind == oyster::DeclKind::Input) {
-            for (int t = 1; t <= alpha.cycles(); t++) {
-                auto it = cex.inputs.find({d.name, t});
-                BitVec v = it != cex.inputs.end() ? it->second
-                                                  : BitVec(d.width);
-                ev.setInput(d.name, t, tt.constant(v));
-            }
-        } else if (d.kind == oyster::DeclKind::Memory) {
-            auto it = cex.mems.find(d.name);
-            ev.setConcreteMem(d.name,
-                              it != cex.mems.end()
-                                  ? it->second
-                                  : std::map<uint64_t, BitVec>{});
-        }
-    }
-    SymRun run = ev.run(alpha.cycles());
+    SymRun run = runWithCex(sketch, alpha, tt, hole_vars, cex);
     SpecCompiler sc(spec, alpha, tt, run, sketch);
-    InstrConditions conds = sc.compileInstr(instr);
-    TermRef lhs = conds.pre;
-    for (TermRef a : conds.assumes)
-        lhs = tt.mkAnd(lhs, a);
-    TermRef rhs = tt.trueTerm();
-    for (TermRef p : conds.posts)
-        rhs = tt.mkAnd(rhs, p);
-    return tt.mkImplies(lhs, rhs);
-}
-
-smt::IncrementalOptions
-incrementalOptionsFrom(const CegisOptions &opts)
-{
-    smt::IncrementalOptions io;
-    io.portfolioJobs = opts.satPortfolio;
-    io.portfolioSeed = opts.satPortfolioSeed;
-    io.checkProofs = opts.checkProofs;
-    io.preprocess = opts.preprocess;
-    io.inprocessConflicts = opts.inprocessConflicts;
-    io.eagerAckermann = opts.eagerAckermann;
-    return io;
+    return sc.compileInstr(instr).implication(tt);
 }
 
 /**
@@ -296,12 +269,12 @@ incrementalOptionsFrom(const CegisOptions &opts)
  *
  * The point is determinism across solving strategies: which model a
  * SAT solver returns depends on learned clauses, activities, and
- * saved phases, so an incremental session (or a portfolio race)
- * naturally drifts away from a fresh solver-per-iteration run even
- * though the queries are equivalent. The lexmin assignment is a
- * property of the formula alone, so both paths — and every portfolio
- * configuration — land on bit-identical candidates, which keeps the
- * whole CEGIS trajectory (counterexamples included) reproducible.
+ * saved phases, so an incremental session naturally drifts away
+ * from a fresh solver-per-iteration run even though the queries are
+ * equivalent. The lexmin assignment is a property of the formula
+ * alone, so both paths — and a warm session reused from serve's pool
+ * — land on bit-identical candidates, which keeps the whole CEGIS
+ * trajectory (counterexamples included) reproducible.
  * Probes are assumption-only solves on a warm solver, typically pure
  * propagation after the initial model.
  */
@@ -346,7 +319,7 @@ SynthSession::SynthSession(const oyster::Design &sketch,
                            const CegisOptions &opts)
     : sketch(sketch), spec(spec), alpha(alpha),
       instr_name(instr_name), instr(spec.instr(instr_name)),
-      ctx(tt, incrementalOptionsFrom(opts))
+      ctx(tt, opts.solver)
 {
     // Hole variables are shared by every counterexample group,
     // exactly like the fresh path shares them per query.
@@ -403,7 +376,7 @@ InstrSynthesizer::synthStep(const ila::Instr &instr,
     // throwaway one per call, so nothing carries over between
     // iterations — because hole canonicalization needs cheap
     // assumption-based re-solves against the already-blasted query.
-    smt::IncrementalContext ctx(tt, incrementalOptionsFrom(opts));
+    smt::IncrementalContext ctx(tt, opts.solver);
     for (const Counterexample &cex : cexes) {
         ctx.assertPermanent(buildCexConstraint(
             sketch, spec, alpha, tt, hole_vars, instr, cex));

@@ -84,23 +84,6 @@ struct CegisOptions
      */
     const std::atomic<bool> *cancelFlag = nullptr;
     /**
-     * >1 races that many diversified SAT solver configurations per
-     * check (owl::exec::Portfolio). Latency win on hard queries at
-     * the cost of bit-reproducible counterexamples; see DESIGN.md §7.
-     */
-    int satPortfolio = 0;
-    uint64_t satPortfolioSeed = 1;
-    /**
-     * Record and independently replay a DRAT proof for every Unsat
-     * SAT verdict (smt::SolveLimits::checkProofs). Certifies the
-     * verdicts CEGIS builds on: "no counterexample" in verify and
-     * "no candidate" in refinement. Under incremental mode the synth
-     * side keeps one session-long proof per solver; conditional
-     * (assumption-relative) Unsat verdicts carry no proof obligation
-     * and are booked as drat.unsat_conditional.
-     */
-    bool checkProofs = false;
-    /**
      * Keep the synth-side query in one long-lived incremental SAT
      * session per instruction (smt::IncrementalContext): each
      * iteration encodes only the new counterexample's constraint
@@ -113,35 +96,8 @@ struct CegisOptions
      * different constants, so there is no encoding to share.
      */
     bool incremental = true;
-    /**
-     * Enable the CDCL phase profiler on every SAT solve this run
-     * issues (smt::SolveLimits::profileSat, `owl synth
-     * --profile-sat`): stride-sampled attribution of solve time to
-     * propagate/analyze/decide/reduceDb/restart, flushed to
-     * sat.phase.* counters.
-     */
-    bool profileSat = false;
-    /**
-     * SatELite-style CNF pre/inprocessing on every SAT solver this
-     * run uses (smt::SolveLimits::preprocess /
-     * smt::IncrementalOptions::preprocess). Default-on; `owl synth
-     * --no-preprocess` opts out. Lexmin hole canonicalization keeps
-     * synthesized hole assignments bit-identical either way — the
-     * answer is a property of the formula, not the search.
-     */
-    bool preprocess = true;
-    /** Inprocessing cadence in conflicts; 0 = entry-only preprocessing. */
-    uint64_t inprocessConflicts = 20000;
-    /**
-     * Instantiate the full quadratic set of Ackermann memory-read
-     * congruences up front instead of the default lemmas-on-demand
-     * refinement (smt::SolveLimits::eagerAckermann /
-     * smt::IncrementalOptions::eagerAckermann, DESIGN.md §14).
-     * Verdicts and lexmin-canonicalized holes are identical either
-     * way; the escape hatch exists for A/B comparison
-     * (`owl synth --eager-ackermann`, bench_ackermann).
-     */
-    bool eagerAckermann = false;
+    /** Solver knobs for every SAT query this run issues. */
+    smt::SolverPolicy solver;
     /**
      * Optional warm-session pool (serve's amortization path). When
      * set and incremental mode is on, synthesize() checks out an
@@ -169,7 +125,7 @@ struct CegisOptions
                std::chrono::steady_clock::now() > deadline;
     }
     std::chrono::milliseconds remaining() const;
-    /** SolveLimits carrying this run's budget + execution policy. */
+    /** SolveLimits carrying this run's budget and solver policy. */
     smt::SolveLimits solveLimits() const;
 };
 
@@ -206,12 +162,24 @@ void applyInitAliases(const oyster::Design &sketch,
 void applyCexAliases(const AbsFunc &alpha, Counterexample &cex);
 
 /**
+ * Symbolically run a sketch from a counterexample's concrete state:
+ * holes bound to hole_terms, and every register, input and memory
+ * pinned to the counterexample (aliases applied; absent values are
+ * zero).
+ */
+oyster::SymRun
+runWithCex(const oyster::Design &sketch, const AbsFunc &alpha,
+           smt::TermTable &tt,
+           const std::map<std::string, smt::TermRef> &hole_terms,
+           Counterexample cex);
+
+/**
  * The synth side of one instruction's CEGIS run as a long-lived
  * incremental session: one TermTable, one persistent bit-blast cache,
- * one solver (or portfolio fleet) for every iteration. Each
- * counterexample becomes an activation-literal group, so iteration k
- * encodes and solves only the delta while learned clauses from
- * iterations 1..k-1 keep pruning the search.
+ * one solver for every iteration. Each counterexample becomes an
+ * activation-literal group, so iteration k encodes and solves only
+ * the delta while learned clauses from iterations 1..k-1 keep pruning
+ * the search.
  *
  * Sessions may outlive a single synthesize() call (serve's warm pool):
  * the accumulated groups are valid constraints of the same ∃∀
@@ -250,6 +218,9 @@ class SynthSession
 
     /** Counterexample groups accumulated over the session's lifetime. */
     int groups() const { return ctx.numGroups(); }
+
+    /** The solver policy the session was built with. */
+    const smt::SolverPolicy &policy() const { return ctx.policy(); }
 
     const smt::IncrementalStats &stats() const { return ctx.stats(); }
 

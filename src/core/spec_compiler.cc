@@ -39,6 +39,34 @@ collectLoads(const ila::IlaContext &ctx, int32_t root,
 
 } // namespace
 
+TermRef
+InstrConditions::implication(smt::TermTable &tt) const
+{
+    TermRef lhs = pre;
+    for (TermRef a : assumes)
+        lhs = tt.mkAnd(lhs, a);
+    TermRef rhs = tt.trueTerm();
+    for (TermRef p : posts)
+        rhs = tt.mkAnd(rhs, p);
+    return tt.mkImplies(lhs, rhs);
+}
+
+std::vector<TermRef>
+InstrConditions::violation(smt::TermTable &tt,
+                           const std::vector<TermRef> &side) const
+{
+    std::vector<TermRef> out;
+    out.reserve(assumes.size() + side.size() + 2);
+    out.push_back(pre);
+    out.insert(out.end(), assumes.begin(), assumes.end());
+    out.insert(out.end(), side.begin(), side.end());
+    TermRef all_posts = tt.trueTerm();
+    for (TermRef p : posts)
+        all_posts = tt.mkAnd(all_posts, p);
+    out.push_back(tt.mkNot(all_posts));
+    return out;
+}
+
 SpecCompiler::SpecCompiler(const ila::Ila &spec, const AbsFunc &alpha,
                            smt::TermTable &tt,
                            const oyster::SymRun &run,

@@ -58,6 +58,22 @@ struct InstrConditions
     smt::TermRef pre;
     std::vector<smt::TermRef> posts;
     std::vector<smt::TermRef> assumes;
+
+    /**
+     * (pre ∧ assumes) → ∧posts as one 1-bit term: the instruction is
+     * correct on this run. Both conjunctions fold left, the first
+     * from pre and the second from true.
+     */
+    smt::TermRef implication(smt::TermTable &tt) const;
+
+    /**
+     * Assertions whose models are states where the run violates the
+     * instruction: pre, each assume, each side condition, then
+     * ¬∧posts (folded from true).
+     */
+    std::vector<smt::TermRef>
+    violation(smt::TermTable &tt,
+              const std::vector<smt::TermRef> &side = {}) const;
 };
 
 /**

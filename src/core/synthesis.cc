@@ -43,13 +43,8 @@ cegisOptionsFrom(const SynthesisOptions &opts,
     c.maxIterations = opts.maxIterations;
     c.conflictLimit = opts.conflictLimit;
     c.deadline = deadline;
-    c.satPortfolio = opts.satPortfolio;
-    c.checkProofs = opts.checkProofs;
     c.incremental = opts.incremental;
-    c.profileSat = opts.profileSat;
-    c.preprocess = opts.preprocess;
-    c.inprocessConflicts = opts.inprocessConflicts;
-    c.eagerAckermann = opts.eagerAckermann;
+    c.solver = opts.solver;
     return c;
 }
 
@@ -181,15 +176,8 @@ class MonolithicSynthesizer
         }
         // ¬ ∧_j ((pre_j ∧ assumes) → posts_j)
         TermRef all = tt.trueTerm();
-        for (const InstrConditions &c : conds) {
-            TermRef lhs = c.pre;
-            for (TermRef a : c.assumes)
-                lhs = tt.mkAnd(lhs, a);
-            TermRef rhs = tt.trueTerm();
-            for (TermRef p : c.posts)
-                rhs = tt.mkAnd(rhs, p);
-            all = tt.mkAnd(all, tt.mkImplies(lhs, rhs));
-        }
+        for (const InstrConditions &c : conds)
+            all = tt.mkAnd(all, c.implication(tt));
         assertions.push_back(tt.mkNot(all));
 
         smt::Model model;
@@ -232,7 +220,7 @@ class MonolithicSynthesizer
             for (const oyster::Decl *h : holes)
                 probe[h->name] = tt.freshVar("probe." + h->name,
                                              h->width);
-            SymRun run0 = runWithCex(tt, cex, probe);
+            SymRun run0 = runWithCex(sketch, alpha, tt, probe, cex);
             SpecCompiler sc0(spec, alpha, tt, run0, sketch);
             std::vector<TermRef> pres;
             for (const auto &i : spec.instrs())
@@ -246,18 +234,10 @@ class MonolithicSynthesizer
                     vals.push_back(cvars[j].at(h->name));
                 hole_terms[h->name] = holeChain(tt, pres, vals);
             }
-            SymRun run = runWithCex(tt, cex, hole_terms);
+            SymRun run = runWithCex(sketch, alpha, tt, hole_terms, cex);
             SpecCompiler sc(spec, alpha, tt, run, sketch);
-            for (const auto &i : spec.instrs()) {
-                InstrConditions c = sc.compileInstr(*i);
-                TermRef lhs = c.pre;
-                for (TermRef a : c.assumes)
-                    lhs = tt.mkAnd(lhs, a);
-                TermRef rhs = tt.trueTerm();
-                for (TermRef p : c.posts)
-                    rhs = tt.mkAnd(rhs, p);
-                assertions.push_back(tt.mkImplies(lhs, rhs));
-            }
+            for (const auto &i : spec.instrs())
+                assertions.push_back(sc.compileInstr(*i).implication(tt));
         }
 
         smt::Model model;
@@ -274,38 +254,6 @@ class MonolithicSynthesizer
             }
         }
         return SynthStatus::Ok;
-    }
-
-    SymRun
-    runWithCex(TermTable &tt, Counterexample cex,
-               const std::map<std::string, TermRef> &hole_terms)
-    {
-        applyCexAliases(alpha, cex);
-        SymbolicEvaluator ev(sketch, tt);
-        for (const auto &[name, term] : hole_terms)
-            ev.setHole(name, term);
-        for (const oyster::Decl &d : sketch.decls()) {
-            if (d.kind == oyster::DeclKind::Register) {
-                auto it = cex.regs.find(d.name);
-                BitVec v = it != cex.regs.end() ? it->second
-                                                : BitVec(d.width);
-                ev.setInitialReg(d.name, tt.constant(v));
-            } else if (d.kind == oyster::DeclKind::Input) {
-                for (int t = 1; t <= alpha.cycles(); t++) {
-                    auto it = cex.inputs.find({d.name, t});
-                    BitVec v = it != cex.inputs.end() ? it->second
-                                                      : BitVec(d.width);
-                    ev.setInput(d.name, t, tt.constant(v));
-                }
-            } else if (d.kind == oyster::DeclKind::Memory) {
-                auto it = cex.mems.find(d.name);
-                ev.setConcreteMem(d.name,
-                                  it != cex.mems.end()
-                                      ? it->second
-                                      : std::map<uint64_t, BitVec>{});
-            }
-        }
-        return ev.run(alpha.cycles());
     }
 };
 
@@ -566,20 +514,12 @@ verifyDesign(const oyster::Design &design, const ila::Ila &spec,
         SymRun run = ev.run(alpha.cycles());
         SpecCompiler sc(spec, alpha, tt, run, design);
         InstrConditions conds = sc.compileInstr(*i);
-
-        std::vector<TermRef> assertions;
-        assertions.push_back(conds.pre);
-        for (TermRef a : conds.assumes)
-            assertions.push_back(a);
+        std::vector<TermRef> pins;
         for (const auto &[computed, pinned] : run.pinConstraints)
-            assertions.push_back(tt.mkEq(computed, pinned));
-        TermRef all_posts = tt.trueTerm();
-        for (TermRef p : conds.posts)
-            all_posts = tt.mkAnd(all_posts, p);
-        assertions.push_back(tt.mkNot(all_posts));
+            pins.push_back(tt.mkEq(computed, pinned));
 
-        CheckResult r = smt::checkSat(tt, assertions, nullptr,
-                                      opts.solveLimits());
+        CheckResult r = smt::checkSat(tt, conds.violation(tt, pins),
+                                      nullptr, opts.solveLimits());
         if (r == CheckResult::Unsat)
             continue;
         if (failed_instr)

@@ -75,21 +75,6 @@ struct SynthesisOptions
      */
     int jobs = 0;
     /**
-     * >1 races that many diversified SAT configurations per check
-     * (exec::Portfolio). Off by default: counterexamples then depend
-     * on which config wins, which perturbs (not corrupts) the CEGIS
-     * trajectory — see DESIGN.md §7.
-     */
-    int satPortfolio = 0;
-    /**
-     * Certify every Unsat SAT verdict with a DRAT proof replayed
-     * through the in-repo forward checker (`owl synth
-     * --check-proofs`). Composes with satPortfolio and jobs: each
-     * portfolio racer records its own proof and the winner's is the
-     * one checked.
-     */
-    bool checkProofs = false;
-    /**
      * Long-lived incremental SAT sessions for the synth side of each
      * instruction's CEGIS loop (see CegisOptions::incremental). On by
      * default; `owl synth --no-incremental` restores the fresh
@@ -97,33 +82,11 @@ struct SynthesisOptions
      */
     bool incremental = true;
     /**
-     * Attribute SAT solve time to CDCL phases (propagate / analyze /
-     * decide / reduceDb / restart) by stride sampling, exported as
-     * sat.phase.* counters (`owl synth --profile-sat`). Off by
-     * default; the disabled cost is one predicted branch per phase
-     * call.
+     * Solver knobs for every SAT query of the run, verification
+     * included (smt::SolverPolicy). Synthesized holes are
+     * bit-identical under every policy (lexmin canonicalization).
      */
-    bool profileSat = false;
-    /**
-     * SatELite-style CNF pre/inprocessing on every SAT solver
-     * (CegisOptions::preprocess). On by default; `owl synth
-     * --no-preprocess` opts out for A/B comparison — the synthesized
-     * holes are bit-identical either way (lexmin canonicalization).
-     */
-    bool preprocess = true;
-    /**
-     * Conflicts between SAT inprocessing rounds; 0 keeps solve-entry
-     * preprocessing only (`owl synth --inprocess N`).
-     */
-    uint64_t inprocessConflicts = 20000;
-    /**
-     * Eager (up-front quadratic) Ackermann memory-read congruence
-     * instead of the default lemmas-on-demand refinement
-     * (CegisOptions::eagerAckermann, `owl synth --eager-ackermann`).
-     * Holes are bit-identical either way (lexmin canonicalization);
-     * kept for A/B comparison (bench_ackermann).
-     */
-    bool eagerAckermann = false;
+    smt::SolverPolicy solver;
     /** Whole-run wall-clock budget; zero = unlimited. */
     std::chrono::milliseconds timeLimit{0};
     /** Per-SAT-call conflict cap; 0 = unlimited. */

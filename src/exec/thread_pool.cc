@@ -147,11 +147,4 @@ ThreadPool::workerLoop(int index)
     tlWorkerPool = nullptr;
 }
 
-ThreadPool &
-globalPool()
-{
-    static ThreadPool pool(defaultJobs());
-    return pool;
-}
-
 } // namespace owl::exec

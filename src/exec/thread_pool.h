@@ -12,19 +12,17 @@
  *    pops LIFO from its own tail (cache-friendly for nested spawns)
  *    while idle workers steal FIFO from other queues' heads. Any
  *    thread — worker or external — can help drain the pool via
- *    tryRunOne()/waitFor(), so a task that blocks joining sub-tasks
- *    (e.g. a portfolio race issued from inside a parallel synthesis
- *    task) executes pending work instead of deadlocking a full pool.
+ *    tryRunOne()/waitFor(), so a thread that blocks joining tasks
+ *    executes pending work instead of deadlocking a full pool.
  *
  *  - CancelToken: a copyable cancellation + deadline token shared by
  *    a group of tasks. Consumers poll it cooperatively; the SAT
  *    solver accepts its raw flag() so in-flight solves abort within a
  *    few conflicts of cancellation.
  *
- * Consumers: Strategy::PerInstructionParallel in owl::synth (one task
+ * Consumer: Strategy::PerInstructionParallel in owl::synth (one task
  * per instruction, results joined deterministically in instruction
- * order) and exec::Portfolio (racing diversified SAT configurations,
- * losers cancelled on first result).
+ * order), plus serve's session threads.
  */
 
 #ifndef OWL_EXEC_THREAD_POOL_H
@@ -185,13 +183,6 @@ class ThreadPool
         }
     }
 };
-
-/**
- * The process-wide pool (sized defaultJobs() on first use). Used by
- * smt::checkSat's portfolio path, where threading a pool through every
- * call site would pollute the solver API.
- */
-ThreadPool &globalPool();
 
 } // namespace owl::exec
 

@@ -59,7 +59,7 @@ runFuzz(const FuzzOptions &opt)
         OracleOptions oopt;
         oopt.cosimVectors = opt.cosimVectors;
         oopt.cosimCycles = opt.cosimCycles;
-        oopt.checkProofs = opt.checkProofs;
+        oopt.solver = opt.solver;
         oopt.seed = seed;
 
         text::Bundle b;

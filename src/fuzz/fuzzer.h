@@ -36,7 +36,8 @@ struct FuzzOptions
     int reduceSteps = 400;
     int cosimVectors = 3;
     int cosimCycles = 6;
-    bool checkProofs = true;
+    /** Base solver policy (OracleOptions::solver). */
+    smt::SolverPolicy solver{.checkProofs = true};
     /** Print per-run progress to stderr. */
     bool verbose = false;
     /** Stop after this many findings (0 = never). */

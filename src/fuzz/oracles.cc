@@ -93,10 +93,10 @@ runSynth(const text::Bundle &b, Design &completed,
 {
     completed = *b.design;  // value copy; holes still open
     synth::SynthesisOptions sopt;
-    sopt.checkProofs = oopt.checkProofs;
-    sopt.preprocess = preprocess;
+    sopt.solver = oopt.solver;
+    sopt.solver.preprocess = preprocess;
+    sopt.solver.eagerAckermann = eager_ackermann;
     sopt.incremental = incremental;
-    sopt.eagerAckermann = eager_ackermann;
     return synth::synthesizeControl(completed, *b.spec, *b.alpha,
                                     sopt);
 }

@@ -38,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "smt/solver.h"
 #include "text/bundle.h"
 
 namespace owl::fuzz
@@ -57,8 +58,13 @@ struct OracleOptions
     int cosimVectors = 3;
     /** Cycles simulated per vector. */
     int cosimCycles = 6;
-    /** Replay DRAT proofs on every UNSAT inside CEGIS. */
-    bool checkProofs = true;
+    /**
+     * Base solver policy for every synthesis the oracles run; each
+     * oracle then varies preprocess or eagerAckermann on a copy. DRAT
+     * replay on every UNSAT is on by default (`owl fuzz
+     * --no-check-proofs` turns it off).
+     */
+    smt::SolverPolicy solver{.checkProofs = true};
     /** Seed for the co-simulation input vectors. */
     uint64_t seed = 0;
 };

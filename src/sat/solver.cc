@@ -126,27 +126,13 @@ class SolveObs
 
 } // namespace
 
-Solver::Solver(const Options &options)
-    : opts(options), rngState(options.seed ? options.seed : 1)
+Solver::Solver(const Options &options) : opts(options)
 {
     if (opts.restartBase == 0)
         opts.restartBase = 100;
     if (opts.learnedLimitBase == 0)
         opts.learnedLimitBase = 8192;
     learnedLimit = opts.learnedLimitBase;
-}
-
-uint64_t
-Solver::rngNext()
-{
-    // xorshift64*: deterministic per seed, cheap, good enough for
-    // decision diversification.
-    uint64_t x = rngState;
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    rngState = x;
-    return x * 0x2545F4914F6CDD1DULL;
 }
 
 int
@@ -158,13 +144,9 @@ Solver::newVar()
     assigns.push_back(lUndef);
     levels.push_back(0);
     reasons.push_back(-1);
-    // A seeded solver jitters the initial variable order so tied
-    // activities break differently per configuration.
-    activity.push_back(
-        opts.seed ? 1e-9 * static_cast<double>(rngNext() & 1023)
-                  : 0.0);
+    activity.push_back(0.0);
     heapPos.push_back(-1);
-    savedPhase.push_back(opts.initialPhase);
+    savedPhase.push_back(false);
     seen.push_back(0);
     frozenV.push_back(0);
     elimV.push_back(0);
@@ -470,17 +452,6 @@ Solver::backtrack(int level)
 Lit
 Solver::pickBranchLit()
 {
-    // Diversification: occasionally branch on a random unassigned
-    // variable instead of the VSIDS maximum (seeded configs only).
-    if (opts.seed && opts.randomDecisionFreq > 0 && nVars > 0 &&
-        static_cast<double>(rngNext() >> 11) * 0x1.0p-53 <
-            opts.randomDecisionFreq) {
-        for (int tries = 0; tries < 8; tries++) {
-            int v = static_cast<int>(rngNext() % nVars);
-            if (assigns[v] == lUndef && !elimV[v])
-                return Lit(v, !savedPhase[v]);
-        }
-    }
     while (!heap.empty()) {
         int v = heapPop();
         if (assigns[v] == lUndef && !elimV[v])

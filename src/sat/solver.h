@@ -9,12 +9,10 @@
  * clause minimization, exponential VSIDS activities with phase saving,
  * Luby restarts, and LBD-based learned-clause database reduction.
  *
- * Solver::Options diversifies the search (decision RNG, default
- * phase, restart pacing) for portfolio solving (owl::exec::Portfolio):
- * every configuration is individually deterministic — the same
- * Options on the same formula reproduce the same model and the same
- * statistics — so racing config 0 (the defaults) preserves the
- * engine's answer while seeded variants explore differently.
+ * The search is deterministic: the same Options on the same formula
+ * reproduce the same model and the same statistics, which is what
+ * keeps counterexamples, and with them the CEGIS trajectory,
+ * reproducible run after run.
  */
 
 #ifndef OWL_SAT_SOLVER_H
@@ -155,9 +153,8 @@ struct SimpStats
 /**
  * A plain CNF snapshot: a variable count plus raw clauses, exactly as
  * they were handed to Solver::addClause. Captured via
- * setCaptureCnf() during bit-blasting and replayed into fresh solvers
- * by the portfolio racer (identical variable numbering, so any
- * racer's model maps back onto the original encoding).
+ * setCaptureCnf() during bit-blasting so the DRAT checker can replay
+ * a proof against exactly the clauses the solver saw.
  */
 struct Cnf
 {
@@ -176,27 +173,14 @@ struct DratProof; // sat/drat.h
 class Solver
 {
   public:
-    /**
-     * Search diversification knobs. The defaults reproduce the
-     * classic heuristics bit-for-bit; every configuration is
-     * deterministic (same Options + same formula -> same run).
-     */
+    /** Search pacing and simplification. */
     struct Options
     {
         /**
-         * Decision RNG seed. 0 disables all randomization (the
-         * deterministic baseline); nonzero seeds jitter the initial
-         * variable order and enable randomDecisionFreq.
+         * Luby restart unit, in conflicts. Small values force frequent
+         * restarts, and with them inprocessing rounds; used by the
+         * simplification golden tests.
          */
-        uint64_t seed = 0;
-        /**
-         * Probability of branching on a random unassigned variable
-         * instead of the VSIDS maximum. Only active with seed != 0.
-         */
-        double randomDecisionFreq = 0.0;
-        /** Default phase for variables never flipped by phase saving. */
-        bool initialPhase = false;
-        /** Luby restart unit, in conflicts. */
         uint64_t restartBase = 100;
         /**
          * Live learned clauses tolerated before the first reduceDb()
@@ -255,7 +239,7 @@ class Solver
     /**
      * Seed the phase-saving table: variable v starts with preferred
      * polarity hints[v] (variables beyond the hint vector keep
-     * Options::initialPhase). Purely a search-order hint — the clause
+     * the negative default phase). Purely a search-order hint — the clause
      * database and the verdict are unaffected. Used by the lazy
      * Ackermann refinement loop to warm-start each restarted round
      * from the previous round's model: the re-encoded formula shares
@@ -357,23 +341,19 @@ class Solver
     void setConflictLimit(uint64_t limit) { conflictLimit = limit; }
 
     /**
-     * Cooperative cancellation: solve() polls the flags (every few
-     * conflicts/decisions) and returns Unknown once either reads
-     * true. Two slots so a portfolio racer can watch both its race's
-     * first-winner flag and the caller's own token. Pointees must
-     * outlive the solver; null disables polling.
+     * Cooperative cancellation: solve() polls the flag (every few
+     * conflicts/decisions) and returns Unknown once it reads true.
+     * The pointee must outlive the solver; null disables polling.
      */
-    void setCancelFlag(const std::atomic<bool> *flag,
-                       const std::atomic<bool> *flag2 = nullptr)
+    void setCancelFlag(const std::atomic<bool> *flag)
     {
         cancelFlag = flag;
-        cancelFlag2 = flag2;
     }
 
     /**
      * Mirror every newVar()/addClause() into the sink (raw clauses,
-     * pre-simplification) so the formula can be replayed into fresh
-     * diversified solvers. Set before adding the formula; null stops
+     * pre-simplification) so a DRAT proof can be replayed against it
+     * (sat::checkDrat). Set before adding the formula; null stops
      * capturing. The sink must outlive the capture window.
      */
     void setCaptureCnf(Cnf *sink) { capture = sink; }
@@ -563,11 +543,9 @@ class Solver
     std::chrono::milliseconds timeLimit{0};
     uint64_t conflictLimit = 0;
     const std::atomic<bool> *cancelFlag = nullptr;
-    const std::atomic<bool> *cancelFlag2 = nullptr;
     Cnf *capture = nullptr;
     DratProof *proof = nullptr;
     Options opts;
-    uint64_t rngState = 0;
     Stats statistics;
 
     bool profilePhases = false;
@@ -672,18 +650,15 @@ class Solver
      * Complete the model snapshot for eliminated variables by
      * replaying the elimination records backwards (MiniSat's extend-model).
      * Runs right after the Sat snapshot so modelValue() — and the
-     * portfolio/incremental model lifts built on it — always covers
-     * every variable.
+     * bit-blaster's model decoding built on it — always covers every
+     * variable.
      */
     void extendModel();
 
-    uint64_t rngNext();
     bool cancelRequested() const
     {
-        return (cancelFlag &&
-                cancelFlag->load(std::memory_order_relaxed)) ||
-               (cancelFlag2 &&
-                cancelFlag2->load(std::memory_order_relaxed));
+        return cancelFlag &&
+               cancelFlag->load(std::memory_order_relaxed);
     }
 
     static uint64_t luby(uint64_t i);

@@ -1,5 +1,7 @@
 #include "serve/request.h"
 
+#include <climits>
+
 namespace owl::serve
 {
 
@@ -33,7 +35,8 @@ parseJobRequest(const json::Value &v, JobRequest &out,
             }
             out.budgetMs = val.asInt();
         } else if (key == "max_iterations") {
-            if (!val.isInt() || val.asInt() <= 0) {
+            if (!val.isInt() || val.asInt() <= 0 ||
+                val.asInt() > INT_MAX) {
                 err = "\"max_iterations\" must be a positive integer";
                 return false;
             }
@@ -49,19 +52,19 @@ parseJobRequest(const json::Value &v, JobRequest &out,
                 err = "\"check_proofs\" must be a boolean";
                 return false;
             }
-            out.checkProofs = val.asBool();
+            out.solver.checkProofs = val.asBool();
         } else if (key == "preprocess") {
             if (!val.isBool()) {
                 err = "\"preprocess\" must be a boolean";
                 return false;
             }
-            out.preprocess = val.asBool();
+            out.solver.preprocess = val.asBool();
         } else if (key == "eager_ackermann") {
             if (!val.isBool()) {
                 err = "\"eager_ackermann\" must be a boolean";
                 return false;
             }
-            out.eagerAckermann = val.asBool();
+            out.solver.eagerAckermann = val.asBool();
         } else if (key == "stats_json") {
             if (!val.isString()) {
                 err = "\"stats_json\" must be a string";

@@ -22,6 +22,7 @@
 
 #include "core/control_union.h"
 #include "obs/json.h"
+#include "smt/solver.h"
 
 namespace owl::serve
 {
@@ -34,17 +35,12 @@ struct JobRequest
     int64_t budgetMs = 0;    ///< per-request deadline; 0 = unlimited
     int maxIterations = 64;  ///< CEGIS iteration cap per instruction
     bool verify = false;     ///< re-verify the completed design
-    bool checkProofs = false;
-    /** CNF pre/inprocessing (CegisOptions::preprocess); default-on. */
-    bool preprocess = true;
     /**
-     * Eager Ackermann congruence instead of the default
-     * lemmas-on-demand (CegisOptions::eagerAckermann). Part of the
-     * session-pool fingerprint: a warm session's lazily learned
-     * lemmas are permanent facts, so sessions are never shared
-     * across modes.
+     * Solver knobs; the wire exposes check_proofs, preprocess and
+     * eager_ackermann. A warm session is only reused under the policy
+     * it was built with (serve::WarmSessionPool).
      */
-    bool eagerAckermann = false;
+    smt::SolverPolicy solver;
     std::string statsJson;   ///< per-request obs export path
 };
 

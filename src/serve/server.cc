@@ -175,9 +175,7 @@ Server::processJob(const JobRequest &req)
 
             synth::CegisOptions copts;
             copts.maxIterations = req.maxIterations;
-            copts.checkProofs = req.checkProofs;
-            copts.preprocess = req.preprocess;
-            copts.eagerAckermann = req.eagerAckermann;
+            copts.solver = req.solver;
             copts.cancelFlag = token.flag();
             if (budget_ms > 0)
                 copts.deadline =

@@ -6,37 +6,6 @@
 namespace owl::serve
 {
 
-namespace
-{
-
-/**
- * Session-shaping options baked into an IncrementalContext at
- * construction. A parked session built under different values cannot
- * be handed to this request (its solver fleet or proof sinks would be
- * wrong), so checkout compares fingerprints and rebuilds on mismatch.
- */
-uint64_t
-optsFingerprint(const synth::CegisOptions &opts)
-{
-    uint64_t fp = static_cast<uint64_t>(opts.satPortfolio);
-    fp = fp * 1099511628211ull + opts.satPortfolioSeed;
-    fp = fp * 1099511628211ull + (opts.checkProofs ? 1 : 0);
-    fp = fp * 1099511628211ull + (opts.preprocess ? 1 : 0);
-    fp = fp * 1099511628211ull + opts.inprocessConflicts;
-    // Lazily learned Ackermann lemmas are permanent session facts, so
-    // a session warmed in one mode must not serve the other.
-    fp = fp * 1099511628211ull + (opts.eagerAckermann ? 1 : 0);
-    return fp;
-}
-
-struct ParkedSession
-{
-    std::unique_ptr<synth::SynthSession> session;
-    uint64_t optsFp = 0;
-};
-
-} // namespace
-
 /** One design's warm state: the pool-owned CaseStudy plus parked
  * per-instruction sessions built against it. Declaration order
  * matters: sessions reference cs and must be destroyed first. */
@@ -44,7 +13,7 @@ struct PoolSlot
 {
     uint64_t designFp = 0;
     designs::CaseStudy cs;
-    std::map<std::string, ParkedSession> parked;
+    std::map<std::string, std::unique_ptr<synth::SynthSession>> parked;
     int liveBindings = 0;
     uint64_t lastUse = 0;
 
@@ -122,15 +91,17 @@ std::unique_ptr<synth::SynthSession>
 WarmSessionPool::Binding::checkout(const std::string &instr_name,
                                    const synth::CegisOptions &opts)
 {
-    uint64_t fp = optsFingerprint(opts);
     {
         std::lock_guard<std::mutex> lock(pool.mu);
         slot.lastUse = ++pool.tick;
-        lastOptsFp = fp;
+        // The policy is baked into the session's IncrementalContext
+        // (proof sink, simplification, Ackermann mode), so only an
+        // equal one may reuse it.
         auto it = slot.parked.find(instr_name);
-        if (it != slot.parked.end() && it->second.optsFp == fp) {
+        if (it != slot.parked.end() &&
+            it->second->policy() == opts.solver) {
             std::unique_ptr<synth::SynthSession> s =
-                std::move(it->second.session);
+                std::move(it->second);
             slot.parked.erase(it);
             pool.reused++;
             s->beginReuse();
@@ -160,9 +131,7 @@ WarmSessionPool::Binding::checkin(
         return;
     std::lock_guard<std::mutex> lock(pool.mu);
     slot.lastUse = ++pool.tick;
-    ParkedSession &p = slot.parked[session->instrName()];
-    p.session = std::move(session);
-    p.optsFp = lastOptsFp;
+    slot.parked[session->instrName()] = std::move(session);
 }
 
 } // namespace owl::serve

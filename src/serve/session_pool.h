@@ -69,7 +69,8 @@ class WarmSessionPool
 
         /**
          * A session for this instruction against the slot-owned
-         * design: warm when one is parked and options-compatible
+         * design: warm when one is parked and was built under an equal
+         * solver policy
          * (books serve.sessions.reused + beginReuse()), else freshly
          * built (books serve.sessions.created). Never null for
          * instructions of the slot's spec.
@@ -90,9 +91,6 @@ class WarmSessionPool
         }
         WarmSessionPool &pool;
         struct PoolSlot &slot;
-        /** Options fingerprint of the last checkout (stamped onto
-         * parked sessions at checkin; one request = one option set). */
-        uint64_t lastOptsFp = 0;
     };
 
     /**

@@ -145,24 +145,6 @@ BitBlaster::modelValue(TermRef t) const
     return v;
 }
 
-BitVec
-BitBlaster::modelValue(TermRef t,
-                       const std::vector<bool> &model) const
-{
-    auto it = cache.find(t.idx);
-    owl_assert(it != cache.end(), "modelValue of un-blasted term");
-    BitVec v(tt.width(t));
-    for (int i = 0; i < tt.width(t); i++) {
-        Lit l = it->second[i];
-        owl_assert(l.var() >= 0 &&
-                       static_cast<size_t>(l.var()) < model.size(),
-                   "external model too small for blasted literal");
-        bool bit = model[l.var()] ^ l.negated();
-        v.setBit(i, bit);
-    }
-    return v;
-}
-
 std::vector<Lit>
 BitBlaster::addVec(const std::vector<Lit> &a, const std::vector<Lit> &b,
                    Lit cin)

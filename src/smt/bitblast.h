@@ -46,14 +46,6 @@ class BitBlaster
     BitVec modelValue(TermRef t) const;
 
     /**
-     * Same, but against an external model (var index -> value), e.g.
-     * a portfolio winner's assignment. Variable numbering must match
-     * this blaster's solver (the portfolio replays the captured CNF,
-     * so it does).
-     */
-    BitVec modelValue(TermRef t, const std::vector<bool> &model) const;
-
-    /**
      * Number of terms with an encoding in the blast cache. The
      * incremental layer diffs this across iterations to count how
      * much of each delta query was already in CNF (cache hits).

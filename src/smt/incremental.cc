@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "base/logging.h"
-#include "exec/portfolio.h"
 #include "lint/diagnostic.h"
 #include "obs/obs.h"
 
@@ -27,45 +26,23 @@ resultName(sat::Result r)
 } // namespace
 
 IncrementalContext::IncrementalContext(TermTable &tt_in,
-                                       const IncrementalOptions &o)
-    : tt(tt_in), opts(o), ack(tt_in)
+                                       const SolverPolicy &p)
+    : tt(tt_in), sessionPolicy(p),
+      solver(std::make_unique<sat::Solver>(p.satOptions())), ack(tt_in)
 {
-    int k = opts.portfolioJobs > 1 ? opts.portfolioJobs : 1;
-    std::vector<sat::Solver::Options> configs =
-        exec::diversifiedConfigs(k, opts.portfolioSeed);
-    // diversifiedConfigs leaves simp at the raw-Solver default (off);
-    // the session maintains the freeze discipline, so it opts in.
-    for (auto &config : configs) {
-        config.simp.enabled = opts.preprocess;
-        config.simp.inprocessConflicts = opts.inprocessConflicts;
+    // The session maintains the freeze discipline pre/inprocessing
+    // needs, so it honours the policy's preprocess flag. The proof
+    // sink must be in place before the first clause.
+    if (sessionPolicy.checkProofs) {
+        solver->setProofSink(&proof);
+        solver->setCaptureCnf(&cnf);
     }
-    captureNeeded = k > 1 || opts.checkProofs;
-    // Proof sinks must exist (and stay put) before the first clause:
-    // resize once, then never touch the vector again.
-    if (opts.checkProofs)
-        proofs.resize(k);
-    solvers.reserve(k);
-    for (int i = 0; i < k; i++) {
-        solvers.push_back(std::make_unique<sat::Solver>(configs[i]));
-        if (opts.checkProofs)
-            solvers[static_cast<size_t>(i)]->setProofSink(
-                &proofs[static_cast<size_t>(i)]);
-    }
-    if (captureNeeded)
-        solvers[0]->setCaptureCnf(&cnf);
-    blaster = std::make_unique<BitBlaster>(tt, *solvers[0]);
-    // The blaster's ctor allocated the shared true literal on the
-    // primary; replicate it into the racers right away.
-    syncSolvers();
+    blaster = std::make_unique<BitBlaster>(tt, *solver);
+    // The blaster's ctor allocated the shared true literal.
+    freezeOutputs();
 }
 
 IncrementalContext::~IncrementalContext() = default;
-
-const sat::Stats &
-IncrementalContext::satStats() const
-{
-    return solvers[0]->stats();
-}
 
 uint64_t
 IncrementalContext::reachableTerms(const std::vector<TermRef> &roots) const
@@ -107,15 +84,15 @@ IncrementalContext::registerLeaves(const std::vector<TermRef> &roots)
     // congruences from model scans — but must pre-blast the read and
     // address circuits so (a) the scan can decode their model values
     // and (b) their output literals enter the cache-output log and
-    // get frozen by the caller's syncSolvers() before simp could
+    // get frozen by the caller's freezeOutputs() before simp could
     // eliminate a variable a future lemma clause mentions.
     AckermannManager::Registration reg =
-        ack.registerReads(reads, opts.eagerAckermann);
+        ack.registerReads(reads, sessionPolicy.eagerAckermann);
     for (TermRef r : reg.newReads) {
         if (leafSeen.insert(r.idx).second)
             modelLeaves.push_back(r);
     }
-    if (!opts.eagerAckermann) {
+    if (!sessionPolicy.eagerAckermann) {
         for (size_t i = 0; i < reg.newReads.size(); i++) {
             blaster->blast(reg.newReads[i]);
             blaster->blast(reg.addresses[i]);
@@ -130,34 +107,14 @@ IncrementalContext::registerLeaves(const std::vector<TermRef> &roots)
 }
 
 void
-IncrementalContext::mirrorToRacers()
+IncrementalContext::freezeOutputs()
 {
-    if (solvers.size() <= 1)
-        return;
-    for (size_t i = 1; i < solvers.size(); i++) {
-        sat::Solver &s = *solvers[i];
-        while (s.numVars() < cnf.numVars)
-            s.newVar();
-        for (size_t c = mirroredClauses; c < cnf.clauses.size(); c++)
-            s.addClause(cnf.clauses[c]);
-    }
-    mirroredClauses = cnf.clauses.size();
-}
-
-void
-IncrementalContext::syncSolvers()
-{
-    mirrorToRacers();
     // Freeze the literals future clauses/assumptions can mention —
-    // the blast cache's output vectors — on every solver, so the
-    // pre/inprocessing pass never eliminates them. Racer variables
-    // exist only after the mirror above.
+    // the blast cache's output vectors — so the pre/inprocessing pass
+    // never eliminates them.
     const std::vector<sat::Lit> &log = blaster->cacheOutputLog();
-    for (; frozenMark < log.size(); frozenMark++) {
-        int v = log[frozenMark].var();
-        for (auto &s : solvers)
-            s->setFrozen(v);
-    }
+    for (; frozenMark < log.size(); frozenMark++)
+        solver->setFrozen(log[frozenMark].var());
 }
 
 void
@@ -177,14 +134,14 @@ IncrementalContext::assertPermanent(TermRef t)
     istats.cacheHits += reachable - fresh;
     istats.nodesEncoded += fresh;
     registerLeaves({t});
-    syncSolvers();
+    freezeOutputs();
 }
 
 std::vector<sat::Lit>
 IncrementalContext::literalsOf(TermRef t)
 {
     std::vector<sat::Lit> lits = blaster->blast(t);
-    syncSolvers();
+    freezeOutputs();
     return lits;
 }
 
@@ -223,7 +180,7 @@ IncrementalContext::addGroup(const std::vector<TermRef> &assertions)
     size_t cached_before = blaster->cachedTerms();
     uint64_t reachable = reachableTerms(assertions);
 
-    int avar = solvers[0]->newVar();
+    int avar = solver->newVar();
     sat::Lit act(avar, false);
     actVarToGroup.emplace(avar, gid);
     for (TermRef t : assertions) {
@@ -232,19 +189,17 @@ IncrementalContext::addGroup(const std::vector<TermRef> &assertions)
         // literal; (~act v false) simplifies to the unit ~act, which
         // correctly makes every later check() conditionally Unsat.
         sat::Lit l = blaster->blast(t)[0];
-        solvers[0]->addClause(~act, l);
+        solver->addClause(~act, l);
     }
     uint64_t fresh = blaster->cachedTerms() - cached_before;
     istats.cacheHits += reachable - fresh;
     istats.nodesEncoded += fresh;
 
     registerLeaves(assertions);
-    syncSolvers();
+    freezeOutputs();
     // The activation literal rides in every later check()'s assumption
-    // set; freeze it everywhere (the racers just received it via the
-    // mirror).
-    for (auto &s : solvers)
-        s->setFrozen(avar);
+    // set.
+    solver->setFrozen(avar);
     activations.push_back(act);
     groupIndex.emplace(std::move(key), gid);
     istats.groups++;
@@ -255,7 +210,7 @@ IncrementalContext::addGroup(const std::vector<TermRef> &assertions)
     span.attr("group", gid);
     span.attr("assertions", assertions.size());
     span.attr("new_nodes", fresh);
-    span.attr("sat_vars", static_cast<int64_t>(solvers[0]->numVars()));
+    span.attr("sat_vars", static_cast<int64_t>(solver->numVars()));
     return gid;
 }
 
@@ -269,15 +224,14 @@ IncrementalContext::check(Model *model, const SolveLimits &limits,
     OWL_COUNTER_INC("smt.checks");
     uint64_t q_start = obs::enabled() ? obs::nowNs() : 0;
 
-    lastWinner = -1;
     lastConditional = false;
     if (rootUnsat) {
-        if (opts.checkProofs)
+        if (sessionPolicy.checkProofs)
             OWL_COUNTER_INC("drat.unsat_trivial");
         span.attr("result", "unsat-trivial");
         if (stats) {
             *stats = CheckStats{};
-            stats->satVars = solvers[0]->numVars();
+            stats->satVars = solver->numVars();
             stats->termNodes = tt.numNodes();
             stats->ackermannConstraints = istats.ackermannConstraints;
         }
@@ -294,12 +248,9 @@ IncrementalContext::check(Model *model, const SolveLimits &limits,
 
     istats.solveCalls++;
     if (istats.solveCalls > 1)
-        istats.clausesReused += solvers[0]->liveLearnedCount();
+        istats.clausesReused += solver->liveLearnedCount();
 
-    std::vector<sat::Stats> pre;
-    pre.reserve(solvers.size());
-    for (const auto &s : solvers)
-        pre.push_back(s->stats());
+    const sat::Stats pre = solver->stats();
 
     std::vector<sat::Lit> assumptions = activations;
     assumptions.insert(assumptions.end(), extra_assumptions.begin(),
@@ -308,56 +259,26 @@ IncrementalContext::check(Model *model, const SolveLimits &limits,
     // Solve, then (lazy mode) refine: scan each Sat model for
     // read-consistency violations and assert the violated congruence
     // instances as permanent session facts — through the blaster and
-    // syncSolvers(), so they are captured, mirrored to every racer,
-    // and their fresh gate outputs frozen exactly like any other
-    // permanent assertion. The loop runs inside every check(),
-    // including lexmin canonicalization probes, so every verdict any
-    // caller sees is eager-equivalent.
+    // freezeOutputs(), so they are captured and their fresh gate
+    // outputs frozen exactly like any other permanent assertion. The
+    // loop runs inside every check(), including lexmin
+    // canonicalization probes, so every verdict any caller sees is
+    // eager-equivalent.
     sat::Result r;
-    int winner;
     uint64_t ack_rounds = 0, ack_scans = 0, ack_lemmas = 0;
-    const bool lazy = !opts.eagerAckermann;
+    const bool lazy = !sessionPolicy.eagerAckermann;
+    solver->setTimeLimit(limits.timeLimit);
+    solver->setConflictLimit(limits.conflictLimit);
+    solver->setCancelFlag(limits.cancelFlag);
+    solver->setPhaseProfiling(sessionPolicy.profileSat);
     while (true) {
-        if (solvers.size() == 1) {
-            sat::Solver &s = *solvers[0];
-            s.setTimeLimit(limits.timeLimit);
-            s.setConflictLimit(limits.conflictLimit);
-            s.setCancelFlag(limits.cancelFlag);
-            s.setPhaseProfiling(limits.profileSat);
-            r = s.solve(assumptions);
-            winner = 0;
-        } else {
-            std::vector<sat::Solver *> racers;
-            racers.reserve(solvers.size());
-            for (const auto &s : solvers) {
-                s->setPhaseProfiling(limits.profileSat);
-                racers.push_back(s.get());
-            }
-            exec::SolverRaceOutcome out = exec::raceSolvers(
-                racers, assumptions, limits.timeLimit,
-                limits.conflictLimit, limits.cancelFlag);
-            r = out.result;
-            winner = out.winner;
-            span.attr("portfolio_winner", winner);
-        }
+        r = solver->solve(assumptions);
         if (r != sat::Result::Sat || !lazy || ack.pairBound() == 0)
             break;
         ack_scans++;
         istats.ackermannScans++;
-        // A rival winner's assignment is lifted into a plain vector
-        // and decoded through the shared blast cache, same as model
-        // extraction below.
-        std::vector<bool> values;
-        if (winner != 0) {
-            sat::Solver &w = *solvers[static_cast<size_t>(winner)];
-            values.resize(static_cast<size_t>(cnf.numVars));
-            for (int v = 0; v < cnf.numVars; v++)
-                values[static_cast<size_t>(v)] = w.modelValue(v);
-        }
-        std::vector<TermRef> lemmas = ack.scanModel([&](TermRef t) {
-            return winner == 0 ? blaster->modelValue(t)
-                               : blaster->modelValue(t, values);
-        });
+        std::vector<TermRef> lemmas = ack.scanModel(
+            [&](TermRef t) { return blaster->modelValue(t); });
         if (lemmas.empty())
             break; // congruence-clean: genuinely Sat
         obs::ScopedSpan ack_span("smt.ackermann");
@@ -365,7 +286,7 @@ IncrementalContext::check(Model *model, const SolveLimits &limits,
             blaster->assertTrue(cong);
             istats.ackermannConstraints++;
         }
-        syncSolvers();
+        freezeOutputs();
         ack_lemmas += lemmas.size();
         istats.ackermannLemmas += lemmas.size();
         ack_rounds++;
@@ -376,20 +297,17 @@ IncrementalContext::check(Model *model, const SolveLimits &limits,
     }
     OWL_COUNTER_ADD("smt.ackermann.scans", ack_scans);
     OWL_COUNTER_ADD("smt.ackermann.rounds", ack_rounds);
-    lastWinner = winner;
-    lastConditional = r == sat::Result::Unsat && winner >= 0 &&
-                      solvers[static_cast<size_t>(winner)]
-                          ->lastUnsatWasConditional();
+    lastConditional =
+        r == sat::Result::Unsat && solver->lastUnsatWasConditional();
 
-    // Certify unconditional Unsat verdicts: the winner's session-long
-    // proof (every lemma and deletion since the context was built)
-    // replays against the captured input clauses. Conditional verdicts
-    // carry no proof obligation — the formula was not refuted and no
-    // empty clause was emitted — so they are booked separately.
+    // Certify unconditional Unsat verdicts: the session-long proof
+    // (every lemma and deletion since the context was built) replays
+    // against the captured input clauses. Conditional verdicts carry
+    // no proof obligation — the formula was not refuted and no empty
+    // clause was emitted — so they are booked separately.
     bool proof_checked = false;
     size_t proof_steps = 0;
-    if (opts.checkProofs && r == sat::Result::Unsat && winner >= 0) {
-        const sat::DratProof &proof = proofs[static_cast<size_t>(winner)];
+    if (sessionPolicy.checkProofs && r == sat::Result::Unsat) {
         proof_steps = proof.size();
         if (lastConditional) {
             OWL_COUNTER_INC("drat.unsat_conditional");
@@ -410,12 +328,11 @@ IncrementalContext::check(Model *model, const SolveLimits &limits,
         }
     }
 
-    int stat_idx = winner >= 0 ? winner : 0;
-    const sat::Stats &post = solvers[static_cast<size_t>(stat_idx)]->stats();
-    uint64_t d_conflicts = post.conflicts - pre[stat_idx].conflicts;
-    uint64_t d_props = post.propagations - pre[stat_idx].propagations;
+    const sat::Stats &post = solver->stats();
+    uint64_t d_conflicts = post.conflicts - pre.conflicts;
+    uint64_t d_props = post.propagations - pre.propagations;
     span.attr("result", resultName(r));
-    span.attr("sat_vars", static_cast<int64_t>(solvers[0]->numVars()));
+    span.attr("sat_vars", static_cast<int64_t>(solver->numVars()));
     span.attr("conflicts", d_conflicts);
     if (obs::enabled()) {
         OWL_HISTOGRAM_RECORD("smt.query_ns", obs::nowNs() - q_start);
@@ -427,12 +344,12 @@ IncrementalContext::check(Model *model, const SolveLimits &limits,
     OWL_TRACE_EVENT("smt", "checkSat(incremental) result=",
                     resultName(r), " groups=", activations.size(),
                     " terms=", tt.numNodes(),
-                    " sat_vars=", solvers[0]->numVars(),
+                    " sat_vars=", solver->numVars(),
                     " ack_rounds=", ack_rounds,
                     " conflicts=", d_conflicts,
                     " propagations=", d_props);
     if (stats) {
-        stats->satVars = solvers[0]->numVars();
+        stats->satVars = solver->numVars();
         stats->ackermannConstraints = istats.ackermannConstraints;
         stats->ackermannLemmas = ack_lemmas;
         stats->ackermannRounds = ack_rounds;
@@ -454,23 +371,8 @@ IncrementalContext::check(Model *model, const SolveLimits &limits,
 
     if (model) {
         model->leafValues.clear();
-        if (winner == 0) {
-            for (TermRef t : modelLeaves)
-                model->leafValues.emplace(t.idx,
-                                          blaster->modelValue(t));
-        } else {
-            // A rival won: lift its assignment into a plain vector and
-            // decode through the shared blast cache (identical
-            // variable numbering by construction of the mirror).
-            sat::Solver &w = *solvers[static_cast<size_t>(winner)];
-            std::vector<bool> values(
-                static_cast<size_t>(cnf.numVars));
-            for (int v = 0; v < cnf.numVars; v++)
-                values[static_cast<size_t>(v)] = w.modelValue(v);
-            for (TermRef t : modelLeaves)
-                model->leafValues.emplace(
-                    t.idx, blaster->modelValue(t, values));
-        }
+        for (TermRef t : modelLeaves)
+            model->leafValues.emplace(t.idx, blaster->modelValue(t));
     }
     return CheckResult::Sat;
 }
@@ -479,10 +381,9 @@ std::vector<int>
 IncrementalContext::failedGroups() const
 {
     std::vector<int> groups;
-    if (!lastConditional || lastWinner < 0)
+    if (!lastConditional)
         return groups;
-    const sat::Solver &w = *solvers[static_cast<size_t>(lastWinner)];
-    for (sat::Lit l : w.failedAssumptions()) {
+    for (sat::Lit l : solver->failedAssumptions()) {
         auto it = actVarToGroup.find(l.var());
         if (it != actVarToGroup.end())
             groups.push_back(it->second);

@@ -1,8 +1,8 @@
 /**
  * @file
  * Incremental SMT solving for CEGIS: one persistent bit-blast cache
- * and one long-lived CDCL instance (or a fleet of diversified ones)
- * shared by a whole family of closely related queries.
+ * and one long-lived CDCL instance shared by a whole family of
+ * closely related queries.
  *
  * A fresh checkSat() call rebuilds the CNF encoding of the entire
  * query and throws away everything the SAT search learned. Across
@@ -27,10 +27,6 @@
  *    proof claims (booked as drat.unsat_conditional); a genuine
  *    formula-level refutation emits the empty clause and the whole
  *    session proof replays through sat::checkDrat.
- *  - Portfolio mode composes: each racer owns a persistent solver
- *    mirrored clause-for-clause from the captured CNF (identical
- *    variable numbering), keeps its own session-long proof, and races
- *    under the same assumptions via exec::raceSolvers.
  */
 
 #ifndef OWL_SMT_INCREMENTAL_H
@@ -52,55 +48,14 @@
 namespace owl::smt
 {
 
-/**
- * Session-level policy for an IncrementalContext. Unlike SolveLimits
- * (per call), these shape the solver fleet itself and are fixed at
- * construction: racers and proof sinks must exist before the first
- * clause lands.
- */
-struct IncrementalOptions
-{
-    /**
-     * >1 keeps that many diversified persistent solvers and races
-     * them on every check() (exec::raceSolvers). Racer 0 is always
-     * the deterministic default configuration.
-     */
-    int portfolioJobs = 0;
-    uint64_t portfolioSeed = 1; ///< base seed for diversification
-    /**
-     * Keep per-racer session-long DRAT proofs and replay the winner's
-     * through sat::checkDrat on every unconditional Unsat verdict.
-     */
-    bool checkProofs = false;
-    /**
-     * Enable SatELite-style pre/inprocessing in every session solver
-     * (sat::SimpOptions). The context maintains the freeze discipline
-     * it requires: every bit-blast cache output and every activation
-     * literal is frozen on every racer before it can be eliminated,
-     * and solve() freezes per-call assumption variables itself.
-     */
-    bool preprocess = true;
-    /** Inprocessing cadence (sat::SimpOptions::inprocessConflicts). */
-    uint64_t inprocessConflicts = 20000;
-    /**
-     * Instantiate Ackermann congruences for memory base reads eagerly
-     * (the full pair set at registration) instead of the default
-     * lemmas-on-demand refinement inside check() (DESIGN.md §14).
-     * Session-level because lazily learned lemmas are permanent
-     * session facts; mixing modes mid-session would double-book
-     * pairs.
-     */
-    bool eagerAckermann = false;
-};
-
 /** Cumulative counters for one incremental session. */
 struct IncrementalStats
 {
     /** check() calls that reached the SAT solver. */
     uint64_t solveCalls = 0;
     /**
-     * Learned clauses alive in the primary solver's database at entry
-     * to each check() after the first — i.e. search effort carried
+     * Learned clauses alive in the solver's database at entry to each
+     * check() after the first — i.e. search effort carried
      * over from earlier iterations instead of being re-derived.
      */
     uint64_t clausesReused = 0;
@@ -149,9 +104,16 @@ struct IncrementalStats
  * violated congruence instances — as permanent session facts, since
  * congruence is a property of the read UF, not of any one query — and
  * re-solves until the model is clean or Unsat (DESIGN.md §14).
- * IncrementalOptions::eagerAckermann instead pairs each new batch
- * against every read seen before it, so the session carries exactly
- * the constraints a from-scratch eager encode of the union would.
+ * SolverPolicy::eagerAckermann instead pairs each new batch against
+ * every read seen before it, so the session carries exactly the
+ * constraints a from-scratch eager encode of the union would.
+ *
+ * The whole SolverPolicy is fixed at construction: the proof sink must
+ * exist before the first clause lands, pre/inprocessing relies on the
+ * freeze discipline from the first clause on (every bit-blast cache
+ * output and every activation literal is frozen before it can be
+ * eliminated), and lazily learned lemmas are permanent session facts,
+ * so mixing Ackermann modes mid-session would double-book pairs.
  *
  * The TermTable must outlive the context and must not be used with a
  * second context concurrently (blast-cache keying assumes node
@@ -161,7 +123,7 @@ class IncrementalContext
 {
   public:
     explicit IncrementalContext(TermTable &tt,
-                                const IncrementalOptions &opts = {});
+                                const SolverPolicy &policy = {});
     ~IncrementalContext();
     IncrementalContext(const IncrementalContext &) = delete;
     IncrementalContext &operator=(const IncrementalContext &) = delete;
@@ -196,10 +158,9 @@ class IncrementalContext
     int generation() const { return gen; }
 
     /**
-     * Solve everything asserted so far. limits.portfolioJobs and
-     * limits.checkProofs are ignored — those are session-level here
-     * (IncrementalOptions); time/conflict/cancel limits apply per
-     * call.
+     * Solve everything asserted so far. Only the per-call fields of
+     * limits apply (time, conflict and cancel); limits.solver is
+     * ignored in favour of the policy the session was built with.
      *
      * @param extra_assumptions additional literals assumed true for
      *        this call only, on top of the group activation literals.
@@ -212,10 +173,10 @@ class IncrementalContext
                       const std::vector<sat::Lit> &extra_assumptions = {});
 
     /**
-     * The CNF literals (lsb first) encoding a term, blasting it (and
-     * mirroring any new clauses to the racers) if it was not already
-     * part of an assertion. The literals are valid for the lifetime
-     * of the context and can be passed to check() as assumptions.
+     * The CNF literals (lsb first) encoding a term, blasting it if it
+     * was not already part of an assertion. The literals are valid for
+     * the lifetime of the context and can be passed to check() as
+     * assumptions.
      */
     std::vector<sat::Lit> literalsOf(TermRef t);
 
@@ -236,22 +197,29 @@ class IncrementalContext
 
     int numGroups() const { return static_cast<int>(activations.size()); }
     const IncrementalStats &stats() const { return istats; }
-    /** The primary (racer-0) solver's cumulative SAT statistics. */
-    const sat::Stats &satStats() const;
+    /** The session solver's cumulative SAT statistics. */
+    const sat::Stats &satStats() const { return solver->stats(); }
+    /** The policy fixed at construction. */
+    const SolverPolicy &policy() const { return sessionPolicy; }
 
   private:
     TermTable &tt;
-    IncrementalOptions opts;
-    bool captureNeeded = false;
+    const SolverPolicy sessionPolicy;
     /** A permanent assertion folded to constant false. */
     bool rootUnsat = false;
 
-    std::vector<std::unique_ptr<sat::Solver>> solvers;
-    std::vector<sat::DratProof> proofs; ///< one per racer (checkProofs)
-    sat::Cnf cnf;                       ///< primary-side capture
-    size_t mirroredClauses = 0;
+    /** Input clauses and session-long proof (checkProofs only). */
+    sat::Cnf cnf;
+    sat::DratProof proof;
+    /**
+     * Heap-allocated on purpose: embedding the solver in the context
+     * raised serve-mix peak RSS from 373 to 406 MB (glibc malloc,
+     * 4-CPU x86-64) with identical work.
+     */
+    std::unique_ptr<sat::Solver> solver;
+    /** Built after the proof sinks are attached (its ctor adds a clause). */
     std::unique_ptr<BitBlaster> blaster;
-    /** Blast-cache output-log entries already frozen on all solvers. */
+    /** Blast-cache output-log entries already frozen. */
     size_t frozenMark = 0;
 
     std::vector<sat::Lit> activations;      ///< group id -> activation lit
@@ -273,7 +241,6 @@ class IncrementalContext
      */
     AckermannManager ack;
 
-    int lastWinner = -1;
     bool lastConditional = false;
     IncrementalStats istats;
 
@@ -289,15 +256,12 @@ class IncrementalContext
      * and future lemma clauses may mention.
      */
     void registerLeaves(const std::vector<TermRef> &roots);
-    /** Replay newly captured clauses into the rival racers. */
-    void mirrorToRacers();
     /**
-     * Mirror, then freeze newly blasted cache-output literals on
-     * every solver (racer variables only exist after the mirror, so
-     * the order matters). Every path that grows the encoding funnels
-     * through here before the next solve can simplify.
+     * Freeze newly blasted cache-output literals. Every path that
+     * grows the encoding funnels through here before the next solve
+     * can simplify.
      */
-    void syncSolvers();
+    void freezeOutputs();
 };
 
 } // namespace owl::smt

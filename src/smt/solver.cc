@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "base/logging.h"
-#include "exec/portfolio.h"
 #include "lint/diagnostic.h"
 #include "obs/obs.h"
 #include "sat/drat.h"
@@ -62,6 +61,15 @@ checkResultName(sat::Result r)
 
 } // namespace
 
+sat::Solver::Options
+SolverPolicy::satOptions() const
+{
+    sat::Solver::Options o;
+    o.simp.enabled = preprocess;
+    o.simp.inprocessConflicts = inprocessConflicts;
+    return o;
+}
+
 CheckResult
 checkSat(TermTable &tt, const std::vector<TermRef> &assertions,
          Model *model, const SolveLimits &limits, CheckStats *stats)
@@ -81,7 +89,8 @@ checkSat(TermTable &tt, const std::vector<TermRef> &assertions,
     // pair set here (constant-address pairs fold away inside
     // mkImplies/mkEq); the default lazy mode only registers the reads
     // and instantiates violated instances from model scans below.
-    const bool eager = limits.eagerAckermann;
+    const SolverPolicy &policy = limits.solver;
+    const bool eager = policy.eagerAckermann;
     AckermannManager ack(tt);
     AckermannManager::Registration reg;
     std::vector<TermRef> all = assertions;
@@ -111,35 +120,15 @@ checkSat(TermTable &tt, const std::vector<TermRef> &assertions,
     // freezing the whole escape set to protect it measurably defeats
     // variable elimination. Re-blasting is cheap next to search, and
     // the converged round's CNF/proof pair is exactly what the DRAT
-    // checker and portfolio racers need. Terminates because every
-    // round instantiates at least one new pair from the finite pair
-    // set (smt/ackermann.h).
-    sat::Solver::Options solver_opts;
-    solver_opts.simp.enabled = limits.preprocess;
-    solver_opts.simp.inprocessConflicts = limits.inprocessConflicts;
-
-    // Portfolio mode: record the bit-blasted formula so diversified
-    // racers can replay it with identical variable numbering. Proof
-    // checking records it too — the DRAT checker replays the proof
-    // against exactly these clauses.
-    bool use_portfolio = limits.portfolioJobs > 1;
-    std::vector<sat::Solver::Options> configs;
-    if (use_portfolio) {
-        configs = exec::diversifiedConfigs(limits.portfolioJobs,
-                                           limits.portfolioSeed);
-        for (auto &config : configs) {
-            config.simp.enabled = limits.preprocess;
-            config.simp.inprocessConflicts = limits.inprocessConflicts;
-        }
-    }
+    // checker needs. Terminates because every round instantiates at
+    // least one new pair from the finite pair set (smt/ackermann.h).
+    const sat::Solver::Options solver_opts = policy.satOptions();
 
     std::unique_ptr<sat::Solver> solver;
     std::unique_ptr<BitBlaster> blaster;
     sat::Cnf cnf;
     sat::DratProof proof;
     sat::Result r = sat::Result::Unknown;
-    std::vector<bool> portfolio_model;
-    sat::Stats run_stats;
     bool trivially_false = false;
     std::vector<TermRef> lazy_lemmas;
     std::vector<bool> phase_hints;
@@ -164,13 +153,15 @@ checkSat(TermTable &tt, const std::vector<TermRef> &assertions,
         if (limits.conflictLimit > 0)
             solver->setConflictLimit(limits.conflictLimit);
         solver->setCancelFlag(limits.cancelFlag);
-        solver->setPhaseProfiling(limits.profileSat);
+        solver->setPhaseProfiling(policy.profileSat);
         cnf = sat::Cnf();
         proof = sat::DratProof();
-        if (use_portfolio || limits.checkProofs)
+        // Proof checking replays the proof against exactly the
+        // clauses the solver saw.
+        if (policy.checkProofs) {
             solver->setCaptureCnf(&cnf);
-        if (limits.checkProofs && !use_portfolio)
             solver->setProofSink(&proof);
+        }
         blaster = std::make_unique<BitBlaster>(tt, *solver);
         {
             obs::ScopedSpan bb_span("smt.bitblast");
@@ -206,39 +197,20 @@ checkSat(TermTable &tt, const std::vector<TermRef> &assertions,
         // Warm-start refinement rounds from the previous round's
         // model: the shared encoding prefix has identical variable
         // numbering, so search only repairs around the new lemmas.
-        if (!use_portfolio && !phase_hints.empty())
+        if (!phase_hints.empty())
             solver->setPhaseHints(phase_hints);
 
-        if (use_portfolio) {
-            exec::Portfolio portfolio;
-            exec::PortfolioOutcome out = portfolio.solve(
-                cnf, configs, limits.timeLimit, limits.conflictLimit,
-                limits.cancelFlag, limits.checkProofs,
-                limits.profileSat);
-            r = out.result;
-            portfolio_model = std::move(out.model);
-            run_stats = out.winnerStats;
-            proof = std::move(out.proof);
-            span.attr("portfolio_winner", out.winner);
-        } else {
-            r = solver->solve();
-            run_stats = solver->stats();
-        }
+        r = solver->solve();
         if (r != sat::Result::Sat || !lazy)
             break;
         ack_scans++;
-        std::vector<TermRef> lemmas = ack.scanModel([&](TermRef t) {
-            return use_portfolio
-                       ? blaster->modelValue(t, portfolio_model)
-                       : blaster->modelValue(t);
-        });
+        std::vector<TermRef> lemmas = ack.scanModel(
+            [&](TermRef t) { return blaster->modelValue(t); });
         if (lemmas.empty())
             break; // congruence-clean: genuinely Sat
-        if (!use_portfolio) {
-            phase_hints.resize(static_cast<size_t>(solver->numVars()));
-            for (int v = 0; v < solver->numVars(); v++)
-                phase_hints[v] = solver->modelValue(v);
-        }
+        phase_hints.resize(static_cast<size_t>(solver->numVars()));
+        for (int v = 0; v < solver->numVars(); v++)
+            phase_hints[v] = solver->modelValue(v);
         obs::ScopedSpan ack_span("smt.ackermann");
         lazy_lemmas.insert(lazy_lemmas.end(), lemmas.begin(),
                            lemmas.end());
@@ -262,7 +234,7 @@ checkSat(TermTable &tt, const std::vector<TermRef> &assertions,
         // A constant-false assertion is refuted in the term DAG before
         // any clause exists; there is no SAT proof to replay, and none
         // is needed — the verdict is by evaluation, not by search.
-        if (limits.checkProofs)
+        if (policy.checkProofs)
             OWL_COUNTER_INC("drat.unsat_trivial");
         span.attr("result", "unsat-trivial");
         if (obs::enabled()) {
@@ -284,10 +256,10 @@ checkSat(TermTable &tt, const std::vector<TermRef> &assertions,
     // but the routing is shared with the incremental context) carries
     // no proof obligation and is booked separately.
     bool proof_checked = false;
+    const sat::Stats &run_stats = solver->stats();
     bool unsat_conditional =
-        r == sat::Result::Unsat && !use_portfolio &&
-        solver->lastUnsatWasConditional();
-    if (limits.checkProofs && r == sat::Result::Unsat) {
+        r == sat::Result::Unsat && solver->lastUnsatWasConditional();
+    if (policy.checkProofs && r == sat::Result::Unsat) {
         if (unsat_conditional) {
             OWL_COUNTER_INC("drat.unsat_conditional");
         } else {
@@ -345,18 +317,10 @@ checkSat(TermTable &tt, const std::vector<TermRef> &assertions,
 
     if (model) {
         model->leafValues.clear();
-        for (TermRef v : vars) {
-            model->leafValues.emplace(
-                v.idx, use_portfolio
-                           ? blaster->modelValue(v, portfolio_model)
-                           : blaster->modelValue(v));
-        }
-        for (TermRef b : base_reads) {
-            model->leafValues.emplace(
-                b.idx, use_portfolio
-                           ? blaster->modelValue(b, portfolio_model)
-                           : blaster->modelValue(b));
-        }
+        for (TermRef v : vars)
+            model->leafValues.emplace(v.idx, blaster->modelValue(v));
+        for (TermRef b : base_reads)
+            model->leafValues.emplace(b.idx, blaster->modelValue(b));
     }
     return CheckResult::Sat;
 }

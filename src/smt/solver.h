@@ -9,7 +9,7 @@
  * Ackermann expansion removes the UF). By default congruences are
  * instantiated lazily — solve, scan the model for read-consistency
  * violations, assert only the violated instances, re-solve
- * (smt/ackermann.h, DESIGN.md §14); SolveLimits::eagerAckermann
+ * (smt/ackermann.h, DESIGN.md §14); SolverPolicy::eagerAckermann
  * restores the up-front quadratic expansion.
  */
 
@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <unordered_map>
 
+#include "sat/solver.h"
 #include "smt/term.h"
 
 namespace owl::smt
@@ -48,46 +49,38 @@ class Model
     std::unordered_map<uint32_t, BitVec> leafValues;
 };
 
-/** Resource limits and execution policy for a single checkSat call. */
-struct SolveLimits
+/**
+ * The solver knobs, declared once. The CLI and serve fill one in;
+ * SynthesisOptions, CegisOptions and SolveLimits each carry it
+ * unchanged down to every checkSat call and IncrementalContext, which
+ * apply it to each CDCL solver they create.
+ */
+struct SolverPolicy
 {
-    std::chrono::milliseconds timeLimit{0}; ///< 0 = unlimited
-    uint64_t conflictLimit = 0;             ///< 0 = unlimited
-    /** Cooperative cancellation (polled by the SAT loop); may be null. */
-    const std::atomic<bool> *cancelFlag = nullptr;
-    /**
-     * >1 races that many diversified CDCL configurations on the
-     * bit-blasted formula (owl::exec::Portfolio) and takes the first
-     * definitive answer. The answer matches a sequential solve but
-     * the *model* of a Sat query depends on which config wins — keep
-     * this off where bit-reproducible counterexamples matter.
-     */
-    int portfolioJobs = 0;
-    uint64_t portfolioSeed = 1; ///< base seed for diversification
     /**
      * Record a DRAT proof during CDCL search and replay it through the
      * independent forward checker (sat::checkDrat) whenever the
-     * verdict is Unsat — including the winning racer's proof under
-     * portfolio mode. A proof that fails to check is a solver bug and
-     * panics rather than returning an unsound Unsat. Adds proof
-     * logging overhead to every solve, so this is opt-in
-     * (`owl synth --check-proofs`).
+     * verdict is Unsat. A proof that fails to check is a solver bug
+     * and panics rather than returning an unsound Unsat. Adds proof
+     * logging overhead to every solve, so this is opt-in (`owl synth
+     * --check-proofs`).
      */
     bool checkProofs = false;
     /**
-     * Enable the CDCL phase profiler on every solver this call
-     * creates (sat::Solver::setPhaseProfiling): stride-sampled
-     * attribution of solve time to propagate/analyze/decide/
-     * reduceDb/restart, exported as sat.phase.* counters. Opt-in
-     * (`owl synth --profile-sat`); near-zero overhead when off.
+     * Enable the CDCL phase profiler (sat::Solver::setPhaseProfiling):
+     * stride-sampled attribution of solve time to propagate/analyze/
+     * decide/reduceDb/restart, exported as sat.phase.* counters.
+     * Opt-in (`owl synth --profile-sat`); near-zero overhead when off.
      */
     bool profileSat = false;
     /**
-     * Enable SatELite-style pre/inprocessing (sat::SimpOptions) on
-     * every solver this call creates. A fresh checkSat solves exactly
-     * once with no assumptions, so nothing needs freezing; model
-     * reconstruction keeps returned models complete. Default-on;
-     * `owl synth --no-preprocess` opts out pipeline-wide.
+     * SatELite-style pre/inprocessing (sat::SimpOptions). A fresh
+     * checkSat solves once with no assumptions, so nothing needs
+     * freezing; an IncrementalContext freezes every literal later
+     * clauses can mention. Model reconstruction keeps returned models
+     * complete, and lexmin canonicalization keeps synthesized holes
+     * bit-identical either way. Default-on; `owl synth
+     * --no-preprocess` opts out pipeline-wide.
      */
     bool preprocess = true;
     /**
@@ -106,6 +99,20 @@ struct SolveLimits
      * (`owl synth --eager-ackermann`, bench_ackermann).
      */
     bool eagerAckermann = false;
+
+    bool operator==(const SolverPolicy &) const = default;
+
+    /** Options for a CDCL solver run under this policy. */
+    sat::Solver::Options satOptions() const;
+};
+
+/** Resource limits and solver policy for a single checkSat call. */
+struct SolveLimits
+{
+    std::chrono::milliseconds timeLimit{0}; ///< 0 = unlimited
+    uint64_t conflictLimit = 0;             ///< 0 = unlimited
+    /** Cooperative cancellation (polled by the SAT loop); may be null. */
+    const std::atomic<bool> *cancelFlag = nullptr;
     /**
      * Optional cross-query lemma cache for the lazy refinement loop
      * (smt/ackermann.h). When set, previously violated congruence
@@ -117,6 +124,7 @@ struct SolveLimits
      * Ignored in eager mode. Non-owning; may be null.
      */
     AckermannSeeds *ackermannSeeds = nullptr;
+    SolverPolicy solver;
 };
 
 /** Statistics from the most recent checkSat call. */

@@ -87,7 +87,7 @@ TEST(Ackermann, LazyRefinesForcedViolation)
                               tt.mkNot(tt.mkEq(r1, r2))};
 
     SolveLimits lazy;
-    lazy.checkProofs = true; // the refinement Unsat must replay
+    lazy.solver.checkProofs = true; // the refinement Unsat must replay
     CheckStats ls;
     EXPECT_EQ(checkSat(tt, q, nullptr, lazy, &ls), CheckResult::Unsat);
     EXPECT_GE(ls.ackermannLemmas, 1u);
@@ -96,8 +96,8 @@ TEST(Ackermann, LazyRefinesForcedViolation)
     EXPECT_TRUE(ls.proofChecked);
 
     SolveLimits eager;
-    eager.eagerAckermann = true;
-    eager.checkProofs = true;
+    eager.solver.eagerAckermann = true;
+    eager.solver.checkProofs = true;
     CheckStats es;
     EXPECT_EQ(checkSat(tt, q, nullptr, eager, &es),
               CheckResult::Unsat);
@@ -126,7 +126,7 @@ TEST(Ackermann, SeedsCollapseRepeatedRefinement)
         std::vector<TermRef> q = {tt.mkEq(x, y),
                                   tt.mkNot(tt.mkEq(r1, r2))};
         SolveLimits lims;
-        lims.checkProofs = true;
+        lims.solver.checkProofs = true;
         lims.ackermannSeeds = &seeds;
         return checkSat(tt, q, nullptr, lims, &st);
     };
@@ -210,10 +210,10 @@ TEST(Ackermann, RandomizedLazyMatchesEager)
         }
 
         SolveLimits lazy;
-        lazy.checkProofs = true;
+        lazy.solver.checkProofs = true;
         SolveLimits eager;
-        eager.eagerAckermann = true;
-        eager.checkProofs = true;
+        eager.solver.eagerAckermann = true;
+        eager.solver.checkProofs = true;
         Model lm, em;
         CheckStats ls, es;
         CheckResult lr = checkSat(tt, q, &lm, lazy, &ls);
@@ -267,6 +267,28 @@ TEST(Ackermann, IncrementalLemmasArePermanent)
     EXPECT_EQ(ctx.stats().ackermannLemmas, lemmas_after_first);
 }
 
+TEST(Ackermann, IncrementalEagerNeedsNoRefinement)
+{
+    // The session's policy selects the Ackermann mode: eager pairs the
+    // reads as they are registered, so the same contradiction is
+    // refuted with no model scan and no lemma.
+    TermTable tt;
+    TermRef x = tt.freshVar("x", 8);
+    TermRef y = tt.freshVar("y", 8);
+    TermRef r1 = tt.baseRead(0, x, 16);
+    TermRef r2 = tt.baseRead(0, y, 16);
+    SolverPolicy eager;
+    eager.eagerAckermann = true;
+    IncrementalContext ctx(tt, eager);
+    ctx.assertPermanent(tt.mkEq(x, y));
+    ctx.assertPermanent(tt.mkNot(tt.mkEq(r1, r2)));
+    EXPECT_GE(ctx.stats().ackermannConstraints, 1u);
+    ASSERT_EQ(ctx.check(), CheckResult::Unsat);
+    EXPECT_FALSE(ctx.lastUnsatWasConditional());
+    EXPECT_EQ(ctx.stats().ackermannScans, 0u);
+    EXPECT_EQ(ctx.stats().ackermannLemmas, 0u);
+}
+
 TEST(Ackermann, IncrementalLemmasSurviveGroupRetraction)
 {
     // A lemma learned while a group was active must keep holding
@@ -302,7 +324,7 @@ TEST(Ackermann, IncrementalProofReplayOnRefinementUnsat)
     TermRef y = tt.freshVar("y", 6);
     TermRef r1 = tt.baseRead(0, x, 12);
     TermRef r2 = tt.baseRead(0, y, 12);
-    IncrementalOptions o;
+    SolverPolicy o;
     o.checkProofs = true;
     IncrementalContext ctx(tt, o);
     ctx.assertPermanent(tt.mkEq(x, y));
@@ -331,7 +353,7 @@ TEST(Ackermann, SynthesisHolesBitIdenticalAcrossModes)
         for (bool incremental : {true, false}) {
             designs::CaseStudy cs = designs::makeAluMachine();
             SynthesisOptions o;
-            o.eagerAckermann = eager;
+            o.solver.eagerAckermann = eager;
             o.incremental = incremental;
             SynthesisResult r =
                 synthesizeControl(cs.sketch, cs.spec, cs.alpha, o);

@@ -11,11 +11,15 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
 #include <random>
+#include <string>
 
 #include "designs/accumulator.h"
 #include "designs/alu_machine.h"
 #include "core/synthesis.h"
+#include "obs/obs.h"
 #include "oyster/interp.h"
 #include "oyster/printer.h"
 
@@ -167,6 +171,167 @@ TEST(CoreAluMachine, SynthesizesAndVerifies)
                 EXPECT_EQ(op, aluXOR);
             else if (name == "SUB")
                 EXPECT_EQ(op, aluSUB);
+        }
+    }
+}
+
+namespace
+{
+
+/** Counter deltas that show which solver policy a phase ran under. */
+struct PolicyTrace
+{
+    uint64_t proofsChecked = 0;    ///< checkProofs, unconditional Unsat
+    uint64_t unsatConditional = 0; ///< checkProofs, incremental probes
+    uint64_t simpRounds = 0;       ///< preprocess
+    uint64_t phaseCalls = 0;       ///< profileSat
+    uint64_t ackScans = 0;         ///< lazy Ackermann (not eager)
+    uint64_t ackRounds = 0;
+    uint64_t ackConstraints = 0;
+};
+
+PolicyTrace
+tracePhase(const std::function<void()> &phase)
+{
+    static const char *const names[] = {
+        "drat.proofs_checked", "drat.unsat_conditional",
+        "sat.preprocess.rounds", "sat.phase.propagate.calls",
+        "smt.ackermann.scans", "smt.ackermann.rounds",
+        "smt.ackermann_constraints"};
+    obs::Registry &reg = obs::Registry::instance();
+    std::map<std::string, uint64_t> before;
+    for (const char *n : names)
+        before[n] = reg.counterValue(n);
+    phase();
+    auto delta = [&](const char *n) {
+        return reg.counterValue(n) - before[n];
+    };
+    PolicyTrace t;
+    t.proofsChecked = delta(names[0]);
+    t.unsatConditional = delta(names[1]);
+    t.simpRounds = delta(names[2]);
+    t.phaseCalls = delta(names[3]);
+    t.ackScans = delta(names[4]);
+    t.ackRounds = delta(names[5]);
+    t.ackConstraints = delta(names[6]);
+    return t;
+}
+
+/**
+ * Under one policy on alu-machine: solve one counterexample in a bare
+ * SynthSession (the incremental layer alone), synthesize through the
+ * fresh per-iteration path and then incrementally, and run the mutual
+ * exclusion check and verification. One trace per phase.
+ */
+std::vector<PolicyTrace>
+tracePolicyRun(const smt::SolverPolicy &policy)
+{
+    CaseStudy cs = makeAluMachine();
+    SynthesisOptions opts;
+    opts.solver = policy;
+    CegisOptions copts;
+    copts.solver = policy;
+    std::vector<PolicyTrace> traces;
+
+    HoleValues zero;
+    for (const oyster::Decl &d : cs.sketch.decls()) {
+        if (d.kind == oyster::DeclKind::Hole)
+            zero.emplace(d.name, BitVec(d.width));
+    }
+    InstrSynthesizer isynth(cs.sketch, cs.spec, cs.alpha);
+    Counterexample cex;
+    EXPECT_EQ(isynth.verifyCandidate(cs.spec.instr("ADD"), zero, &cex,
+                                     copts),
+              SynthStatus::Unsat);
+    traces.push_back(tracePhase([&] {
+        SynthSession session(cs.sketch, cs.spec, cs.alpha, "ADD", copts);
+        session.addCex(cex);
+        HoleValues candidate;
+        EXPECT_EQ(session.solve(candidate, copts), SynthStatus::Ok);
+    }));
+    traces.push_back(tracePhase([&] {
+        CaseStudy fresh = makeAluMachine();
+        SynthesisOptions fopts = opts;
+        fopts.incremental = false;
+        SynthesisResult r = synthesizeControl(fresh.sketch, fresh.spec,
+                                              fresh.alpha, fopts);
+        EXPECT_EQ(r.status, SynthStatus::Ok) << r.failedInstr;
+    }));
+    traces.push_back(tracePhase([&] {
+        SynthesisResult r =
+            synthesizeControl(cs.sketch, cs.spec, cs.alpha, opts);
+        EXPECT_EQ(r.status, SynthStatus::Ok) << r.failedInstr;
+    }));
+    traces.push_back(tracePhase([&] {
+        EXPECT_EQ(checkMutualExclusion(cs.sketch, cs.spec, cs.alpha,
+                                       nullptr, copts),
+                  SynthStatus::Ok);
+    }));
+    traces.push_back(tracePhase([&] {
+        EXPECT_EQ(verifyDesign(cs.sketch, cs.spec, cs.alpha, nullptr,
+                               copts),
+                  SynthStatus::Ok);
+    }));
+    return traces;
+}
+
+} // namespace
+
+TEST(CoreSolverPolicy, ReachesEverySolverOfTheRun)
+{
+    // The policy is set once, on SynthesisOptions / CegisOptions, and
+    // must reach the fresh checkSat solvers (CEGIS verify, mutual
+    // exclusion, verifyDesign), the throwaway synth contexts of the
+    // fresh path and the incremental synth sessions alike. The default
+    // run is the control: it shows each counter would have moved had
+    // a layer dropped the policy. A bare session books no unconditional
+    // Unsat, and the mutual exclusion queries are refuted while their
+    // clauses are added, before any search or simplification.
+    obs::setEnabled(true);
+    if (!obs::enabled())
+        GTEST_SKIP() << "needs the obs layer compiled in";
+    const char *phase_names[] = {"session", "fresh synth", "synth",
+                                 "mutex", "verifyDesign"};
+
+    smt::SolverPolicy policy;
+    policy.checkProofs = true;
+    policy.profileSat = true;
+    policy.preprocess = false;
+    policy.eagerAckermann = true;
+    std::vector<PolicyTrace> got = tracePolicyRun(policy);
+    std::vector<PolicyTrace> ref = tracePolicyRun(smt::SolverPolicy{});
+    ASSERT_EQ(got.size(), 5u);
+    ASSERT_EQ(ref.size(), 5u);
+    for (size_t i = 0; i < got.size(); i++) {
+        SCOPED_TRACE(phase_names[i]);
+        EXPECT_EQ(got[i].simpRounds, 0u);
+        EXPECT_EQ(got[i].ackScans, 0u);
+        EXPECT_EQ(got[i].ackRounds, 0u);
+        EXPECT_EQ(ref[i].proofsChecked, 0u);
+        if (i > 0) {
+            EXPECT_GT(got[i].proofsChecked, 0u);
+        }
+        if (i == 3)
+            continue;
+        EXPECT_GT(got[i].phaseCalls, 0u);
+        EXPECT_EQ(ref[i].phaseCalls, 0u);
+        EXPECT_GT(ref[i].simpRounds, 0u);
+    }
+    // The synth contexts book their conditional lexmin probes only
+    // under checkProofs.
+    for (size_t i : {0, 1, 2}) {
+        SCOPED_TRACE(phase_names[i]);
+        EXPECT_GT(got[i].unsatConditional, 0u);
+        EXPECT_EQ(ref[i].unsatConditional, 0u);
+    }
+    // Lazy Ackermann scans every Sat model of the CEGIS verify
+    // queries, while eager mode asserts their pairs up front, as it
+    // does for verifyDesign.
+    for (size_t i : {1, 2, 4}) {
+        SCOPED_TRACE(phase_names[i]);
+        EXPECT_GT(got[i].ackConstraints, ref[i].ackConstraints);
+        if (i != 4) {
+            EXPECT_GT(ref[i].ackScans, 0u);
         }
     }
 }

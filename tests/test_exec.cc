@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for owl::exec — the work-stealing thread pool, cancellation
- * tokens, the portfolio SAT racer, and the determinism contract of
+ * tokens, the bounded queue, and the determinism contract of
  * Strategy::PerInstructionParallel (bit-identical hole values to a
  * sequential no-pinning run).
  */
@@ -12,21 +12,18 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
-#include <random>
 #include <thread>
 #include <vector>
 
 #include "core/synthesis.h"
 #include "designs/accumulator.h"
 #include "designs/riscv_single_cycle.h"
-#include "exec/portfolio.h"
 #include "exec/queue.h"
 #include "exec/thread_pool.h"
 
 using namespace owl;
 using namespace owl::exec;
 using namespace owl::synth;
-using owl::sat::Lit;
 
 // ---- thread pool -------------------------------------------------------
 
@@ -129,122 +126,6 @@ TEST(ExecCancel, DeadlineExpires)
     EXPECT_FALSE(t.cancelled()); // deadline is not cancellation
 }
 
-// ---- portfolio ---------------------------------------------------------
-
-namespace
-{
-
-/** PHP(p, h) as a raw Cnf; UNSAT when p > h. */
-sat::Cnf
-pigeonholeCnf(int p, int h)
-{
-    sat::Cnf cnf;
-    cnf.numVars = p * h;
-    auto var = [h](int i, int j) { return i * h + j; };
-    for (int i = 0; i < p; i++) {
-        std::vector<Lit> cl;
-        for (int j = 0; j < h; j++)
-            cl.push_back(Lit(var(i, j), false));
-        cnf.clauses.push_back(cl);
-    }
-    for (int j = 0; j < h; j++)
-        for (int i1 = 0; i1 < p; i1++)
-            for (int i2 = i1 + 1; i2 < p; i2++)
-                cnf.clauses.push_back({Lit(var(i1, j), true),
-                                       Lit(var(i2, j), true)});
-    return cnf;
-}
-
-/** Random 3-SAT with a planted solution, as a raw Cnf. */
-sat::Cnf
-plantedCnf(int n, int m, uint32_t seed)
-{
-    sat::Cnf cnf;
-    cnf.numVars = n;
-    std::mt19937 rng(seed);
-    std::vector<bool> planted(n);
-    for (int i = 0; i < n; i++)
-        planted[i] = rng() % 2;
-    for (int c = 0; c < m; c++) {
-        std::vector<Lit> cl;
-        for (int k = 0; k < 3; k++)
-            cl.push_back(Lit(rng() % n, rng() % 2));
-        int fix = rng() % 3;
-        cl[fix] = Lit(cl[fix].var(), planted[cl[fix].var()]);
-        cnf.clauses.push_back(cl);
-    }
-    return cnf;
-}
-
-bool
-satisfies(const sat::Cnf &cnf, const std::vector<bool> &model)
-{
-    for (const auto &cl : cnf.clauses) {
-        bool sat = false;
-        for (Lit l : cl)
-            sat |= model[l.var()] != l.negated();
-        if (!sat)
-            return false;
-    }
-    return true;
-}
-
-} // namespace
-
-TEST(ExecPortfolio, DiversifiedConfigZeroIsDefault)
-{
-    auto configs = diversifiedConfigs(4);
-    ASSERT_EQ(configs.size(), 4u);
-    EXPECT_EQ(configs[0].seed, 0u); // the deterministic baseline
-    for (size_t i = 1; i < configs.size(); i++)
-        EXPECT_NE(configs[i].seed, 0u) << "config " << i;
-}
-
-TEST(ExecPortfolio, UnsatRaceMatchesSequential)
-{
-    Portfolio race;
-    PortfolioOutcome out =
-        race.solve(pigeonholeCnf(6, 5), diversifiedConfigs(4));
-    EXPECT_EQ(out.result, sat::Result::Unsat);
-    EXPECT_GE(out.winner, 0);
-    EXPECT_GT(out.winnerStats.conflicts, 0u);
-}
-
-TEST(ExecPortfolio, SatRaceModelSatisfiesFormula)
-{
-    sat::Cnf cnf = plantedCnf(50, 210, 11);
-    Portfolio race;
-    PortfolioOutcome out = race.solve(cnf, diversifiedConfigs(4));
-    ASSERT_EQ(out.result, sat::Result::Sat);
-    ASSERT_EQ(out.model.size(), static_cast<size_t>(cnf.numVars));
-    EXPECT_TRUE(satisfies(cnf, out.model));
-}
-
-TEST(ExecPortfolio, ExternalCancelStopsRace)
-{
-    std::atomic<bool> external{true};
-    Portfolio race;
-    PortfolioOutcome out =
-        race.solve(pigeonholeCnf(8, 7), diversifiedConfigs(3),
-                   std::chrono::milliseconds(0), 0, &external);
-    EXPECT_EQ(out.result, sat::Result::Unknown);
-    EXPECT_EQ(out.winner, -1);
-}
-
-TEST(ExecPortfolio, RaceFromInsidePoolTask)
-{
-    // Portfolio issued from within a pool task on the same pool: the
-    // helping join must let the race finish even with one worker.
-    ThreadPool pool(1);
-    auto f = pool.submit([&pool] {
-        Portfolio race(&pool);
-        return race
-            .solve(pigeonholeCnf(5, 4), diversifiedConfigs(3))
-            .result;
-    });
-    EXPECT_EQ(pool.waitFor(f), sat::Result::Unsat);
-}
-
 // ---- parallel synthesis determinism ------------------------------------
 
 namespace
@@ -344,23 +225,6 @@ TEST(ExecSynth, ParallelReportsFirstFailureInInstructionOrder)
     EXPECT_EQ(rs.status, SynthStatus::IterLimit);
     EXPECT_EQ(rp.status, SynthStatus::IterLimit);
     EXPECT_EQ(rp.failedInstr, rs.failedInstr);
-}
-
-TEST(ExecSynth, PortfolioSynthesisVerifies)
-{
-    // The SAT portfolio perturbs which counterexamples come back but
-    // must never change what verifies.
-    designs::CaseStudy cs = designs::makeAccumulator();
-    SynthesisOptions opts;
-    opts.satPortfolio = 3;
-    SynthesisResult r =
-        synthesizeControl(cs.sketch, cs.spec, cs.alpha, opts);
-    ASSERT_EQ(r.status, SynthStatus::Ok);
-    CegisOptions vopts;
-    vopts.satPortfolio = 3;
-    EXPECT_EQ(verifyDesign(cs.sketch, cs.spec, cs.alpha, nullptr,
-                           vopts),
-              SynthStatus::Ok);
 }
 
 // ---- bounded queue -----------------------------------------------------

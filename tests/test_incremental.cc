@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for owl::smt::IncrementalContext (persistent bit-blast cache,
- * activation-literal groups, assumption probing, portfolio racers)
+ * activation-literal groups, assumption probing, session proofs)
  * and for the incremental CEGIS path built on it: bit-identical hole
  * values against the fresh per-iteration path, and back-to-back
  * in-process synthesis sessions (the ASan double-session check).
@@ -117,30 +117,11 @@ TEST(Incremental, StatsTrackEncodingReuse)
     EXPECT_EQ(ctx.stats().solveCalls, 2u);
 }
 
-TEST(Incremental, PortfolioRacersAgree)
-{
-    for (int jobs : {2, 3}) {
-        TermTable tt;
-        TermRef x = tt.freshVar("x", 6);
-        IncrementalOptions o;
-        o.portfolioJobs = jobs;
-        IncrementalContext ctx(tt, o);
-        ctx.addGroup({tt.mkEq(tt.mkMul(x, x), tt.constant(6, 25))});
-        Model model;
-        ASSERT_EQ(ctx.check(&model), CheckResult::Sat);
-        uint64_t v = model.leafValues.at(x.idx).toUint64();
-        EXPECT_EQ((v * v) & 63, 25u);
-        ctx.addGroup({tt.mkEq(x, tt.constant(6, 2))});
-        ASSERT_EQ(ctx.check(), CheckResult::Unsat);
-        EXPECT_TRUE(ctx.lastUnsatWasConditional());
-    }
-}
-
 TEST(Incremental, SessionProofCheckOnUnconditionalUnsat)
 {
     TermTable tt;
     TermRef x = tt.freshVar("x", 3);
-    IncrementalOptions o;
+    SolverPolicy o;
     o.checkProofs = true;
     IncrementalContext ctx(tt, o);
     ctx.assertPermanent(tt.mkUlt(x, tt.constant(3, 4)));

@@ -380,7 +380,7 @@ TEST(Drat, CheckSatReplaysProofOnUnsat)
     // a < b && b < a: unsat but not constant-foldable, so the verdict
     // comes from CDCL search and must carry a checkable proof.
     smt::SolveLimits limits;
-    limits.checkProofs = true;
+    limits.solver.checkProofs = true;
     smt::CheckStats stats;
     smt::CheckResult r =
         smt::checkSat(tt, {tt.mkUlt(a, b), tt.mkUlt(b, a)}, nullptr,
@@ -390,28 +390,12 @@ TEST(Drat, CheckSatReplaysProofOnUnsat)
     EXPECT_GT(stats.proofSteps, 0u);
 }
 
-TEST(Drat, CheckSatReplaysWinningRacersProofUnderPortfolio)
-{
-    smt::TermTable tt;
-    smt::TermRef a = tt.freshVar("a", 8);
-    smt::TermRef b = tt.freshVar("b", 8);
-    smt::SolveLimits limits;
-    limits.checkProofs = true;
-    limits.portfolioJobs = 2;
-    smt::CheckStats stats;
-    smt::CheckResult r =
-        smt::checkSat(tt, {tt.mkUlt(a, b), tt.mkUlt(b, a)}, nullptr,
-                      limits, &stats);
-    EXPECT_EQ(r, smt::CheckResult::Unsat);
-    EXPECT_TRUE(stats.proofChecked);
-}
-
 TEST(Drat, SatVerdictNeedsNoProof)
 {
     smt::TermTable tt;
     smt::TermRef a = tt.freshVar("a", 8);
     smt::SolveLimits limits;
-    limits.checkProofs = true;
+    limits.solver.checkProofs = true;
     smt::Model model;
     smt::CheckStats stats;
     smt::CheckResult r = smt::checkSat(

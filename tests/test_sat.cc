@@ -231,7 +231,7 @@ TEST_P(SatRandom3Sat, MatchesBruteForce)
 INSTANTIATE_TEST_SUITE_P(Seeds, SatRandom3Sat,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
-// ---- diversified options (portfolio substrate) -------------------------
+// ---- capture, cancellation and limits ------------------------------------
 
 namespace
 {
@@ -256,77 +256,7 @@ addPigeonhole(Solver &s, int p, int h)
                 s.addClause(Lit(v[i1][j], true), Lit(v[i2][j], true));
 }
 
-/** Random 3-SAT with a planted solution: always satisfiable. */
-void
-addPlanted3Sat(Solver &s, int n, int m, uint32_t seed)
-{
-    std::mt19937 rng(seed);
-    std::vector<bool> planted(n);
-    for (int i = 0; i < n; i++) {
-        (void)s.newVar();
-        planted[i] = rng() % 2;
-    }
-    for (int c = 0; c < m; c++) {
-        std::vector<Lit> cl;
-        for (int k = 0; k < 3; k++) {
-            int var = rng() % n;
-            cl.push_back(Lit(var, rng() % 2));
-        }
-        // Make sure the planted assignment satisfies the clause.
-        int fix = rng() % 3;
-        cl[fix] = Lit(cl[fix].var(), planted[cl[fix].var()]);
-        s.addClause(cl);
-    }
-}
-
 } // namespace
-
-TEST(Sat, SeededRunIsDeterministic)
-{
-    // The portfolio's contract: the same Options on the same formula
-    // reproduce the same answer, the same model, and the same search
-    // statistics, run after run.
-    Solver::Options o;
-    o.seed = 0x9e3779b97f4a7c15ull;
-    o.randomDecisionFreq = 0.05;
-    o.initialPhase = true;
-    o.restartBase = 50;
-
-    const int n = 60;
-    Solver a(o), b(o);
-    addPlanted3Sat(a, n, 250, 7);
-    addPlanted3Sat(b, n, 250, 7);
-    ASSERT_EQ(a.solve(), Result::Sat);
-    ASSERT_EQ(b.solve(), Result::Sat);
-    for (int i = 0; i < n; i++)
-        EXPECT_EQ(a.modelValue(i), b.modelValue(i)) << "var " << i;
-    EXPECT_EQ(a.stats().conflicts, b.stats().conflicts);
-    EXPECT_EQ(a.stats().decisions, b.stats().decisions);
-    EXPECT_EQ(a.stats().propagations, b.stats().propagations);
-    EXPECT_EQ(a.stats().restarts, b.stats().restarts);
-}
-
-TEST(Sat, SeededRunStillCorrect)
-{
-    // Diversification must never change answers, only search order.
-    for (uint64_t seed : {1ull, 17ull, 0xdeadbeefull}) {
-        Solver::Options o;
-        o.seed = seed;
-        o.randomDecisionFreq = 0.1;
-        o.initialPhase = (seed & 1) != 0;
-        o.restartBase = seed % 2 ? 50 : 200;
-        {
-            Solver s(o);
-            addPigeonhole(s, 5, 4);
-            EXPECT_EQ(s.solve(), Result::Unsat) << "seed " << seed;
-        }
-        {
-            Solver s(o);
-            addPlanted3Sat(s, 40, 170, 3);
-            EXPECT_EQ(s.solve(), Result::Sat) << "seed " << seed;
-        }
-    }
-}
 
 TEST(Sat, CnfCaptureAndReplayMatches)
 {
@@ -347,19 +277,17 @@ TEST(Sat, CnfCaptureAndReplayMatches)
 
 TEST(Sat, CancelFlagAbortsSolve)
 {
-    // A pre-set cancel flag returns Unknown before any search; the
-    // second flag slot behaves identically (portfolio + external).
+    // A pre-set cancel flag returns Unknown before any search, on
+    // every solve while it stays set; clearing it lets the same
+    // solver finish.
     std::atomic<bool> flag{false};
     Solver s;
     addPigeonhole(s, 8, 7);
     s.setCancelFlag(&flag);
     flag.store(true);
     EXPECT_EQ(s.solve(), Result::Unknown);
-    flag.store(false);
-    std::atomic<bool> flag2{true};
-    s.setCancelFlag(&flag, &flag2);
     EXPECT_EQ(s.solve(), Result::Unknown);
-    flag2.store(false);
+    flag.store(false);
     EXPECT_EQ(s.solve(), Result::Unsat);
 }
 

@@ -177,6 +177,7 @@ TEST(ServeRequest, ParsesAllFields)
     ASSERT_TRUE(obs::json::Value::parse(
         R"({"id":"j1","design":"accumulator","budget_ms":1500,
             "max_iterations":9,"verify":true,"check_proofs":true,
+            "preprocess":false,"eager_ackermann":true,
             "stats_json":"/tmp/x.json"})",
         v, &err))
         << err;
@@ -187,7 +188,9 @@ TEST(ServeRequest, ParsesAllFields)
     EXPECT_EQ(req.budgetMs, 1500);
     EXPECT_EQ(req.maxIterations, 9);
     EXPECT_TRUE(req.verify);
-    EXPECT_TRUE(req.checkProofs);
+    EXPECT_TRUE(req.solver.checkProofs);
+    EXPECT_FALSE(req.solver.preprocess);
+    EXPECT_TRUE(req.solver.eagerAckermann);
     EXPECT_EQ(req.statsJson, "/tmp/x.json");
 }
 
@@ -208,6 +211,18 @@ TEST(ServeRequest, RejectsMalformedJobs)
         JobRequest req;
         EXPECT_FALSE(parseJobRequest(v, req, err)) << text;
         EXPECT_FALSE(err.empty());
+    }
+    // Beyond INT_MAX must not wrap (4294967297 would become 1).
+    for (const char *text :
+         {R"({"design":"acc","max_iterations":2147483648})",
+          R"({"design":"acc","max_iterations":4294967297})"}) {
+        obs::json::Value v;
+        std::string err;
+        ASSERT_TRUE(obs::json::Value::parse(text, v, &err)) << text;
+        JobRequest req;
+        EXPECT_FALSE(parseJobRequest(v, req, err)) << text;
+        EXPECT_EQ(err, "\"max_iterations\" must be a positive integer");
+        EXPECT_EQ(req.maxIterations, 64) << text;
     }
 }
 
@@ -295,6 +310,10 @@ TEST(ServePool, ReusesParkedSessions)
 
 TEST(ServePool, RebuildsOnIncompatibleOptions)
 {
+    // A parked session carries the solver policy it was built with
+    // (proof sink, simplification, Ackermann mode, profiler). Only an
+    // identical policy may reuse it; changing any single field builds
+    // a new session, which then parks under the new policy.
     auto cs = designs::makeCaseStudy("accumulator");
     ASSERT_TRUE(cs);
     const designs::CaseStudyMaker *maker =
@@ -302,24 +321,41 @@ TEST(ServePool, RebuildsOnIncompatibleOptions)
     uint64_t dfp = designFingerprint(cs->sketch, cs->spec, cs->alpha);
     std::string instr = cs->spec.instrs().front()->name();
 
-    WarmSessionPool pool(4);
-    synth::CegisOptions plain;
+    struct Case
     {
-        auto binding = pool.bind(dfp, *maker);
-        binding->checkin(binding->checkout(instr, plain));
+        const char *name;
+        void (*change)(smt::SolverPolicy &);
+        bool reuse;
+    };
+    const Case cases[] = {
+        {"identical", [](smt::SolverPolicy &) {}, true},
+        {"checkProofs",
+         [](smt::SolverPolicy &p) { p.checkProofs = true; }, false},
+        {"profileSat",
+         [](smt::SolverPolicy &p) { p.profileSat = true; }, false},
+        {"preprocess",
+         [](smt::SolverPolicy &p) { p.preprocess = false; }, false},
+        {"inprocessConflicts",
+         [](smt::SolverPolicy &p) { p.inprocessConflicts = 100; }, false},
+        {"eagerAckermann",
+         [](smt::SolverPolicy &p) { p.eagerAckermann = true; }, false},
+    };
+    for (const Case &c : cases) {
+        WarmSessionPool pool(4);
+        synth::CegisOptions first;
+        synth::CegisOptions second;
+        c.change(second.solver);
+        for (const synth::CegisOptions *opts : {&first, &second, &second}) {
+            auto binding = pool.bind(dfp, *maker);
+            auto s = binding->checkout(instr, *opts);
+            ASSERT_NE(s, nullptr) << c.name;
+            binding->checkin(std::move(s));
+        }
+        SessionPoolStats st = pool.stats();
+        EXPECT_EQ(st.created, c.reuse ? 1u : 2u) << c.name;
+        EXPECT_EQ(st.reused, c.reuse ? 2u : 1u) << c.name;
+        EXPECT_EQ(st.parked, 1u) << c.name;
     }
-    // A portfolio run cannot reuse a single-solver session.
-    synth::CegisOptions portfolio;
-    portfolio.satPortfolio = 3;
-    {
-        auto binding = pool.bind(dfp, *maker);
-        auto s = binding->checkout(instr, portfolio);
-        ASSERT_NE(s, nullptr);
-        binding->checkin(std::move(s));
-    }
-    SessionPoolStats st = pool.stats();
-    EXPECT_EQ(st.created, 2u);
-    EXPECT_EQ(st.reused, 0u);
 }
 
 TEST(ServePool, EvictsColdSlotsButNeverPinnedOnes)

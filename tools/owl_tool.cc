@@ -9,14 +9,15 @@
  *       Print a design's datapath sketch in Oyster concrete syntax.
  *   owl alpha <design>
  *       Print a design's abstraction function (§3.2 syntax).
- *   owl synth <design> [--mono] [--jobs <n>] [--portfolio <k>]
- *             [--budget <s>] [-o out.v]
+ *   owl synth <design> [--mono] [--jobs <n>] [--budget <s>]
+ *             [-o out.v]
  *       Synthesize control logic; optionally via the monolithic
  *       Equation (1) query; optionally emit Verilog of the completed
  *       design. `--jobs N` (or the OWL_JOBS environment variable)
- *       runs per-instruction CEGIS tasks on an N-worker thread pool;
- *       `--portfolio K` races K diversified SAT configurations per
- *       solver call. See DESIGN.md §7 for the determinism contract.
+ *       runs per-instruction CEGIS tasks on an N-worker thread pool.
+ *       See DESIGN.md §7 for the determinism contract. Numeric flags
+ *       must be whole decimal integers in range; anything else is a
+ *       usage error (exit 2).
  *
  * All synthesis commands accept `--stats-json <path>`: on exit the
  * owl::obs registry (CEGIS span tree, SAT/SMT counters, histograms)
@@ -74,6 +75,9 @@
  * aes.
  */
 
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -112,7 +116,7 @@ usage()
             "commands: list | sketch | alpha | synth | control | "
             "verify | lint | serve | fuzz\n"
             "options (synth): --mono, --jobs <n> (or OWL_JOBS), "
-            "--portfolio <k>, --budget <seconds>, --check-proofs, "
+            "--budget <seconds>, --check-proofs, "
             "--no-incremental, --no-preprocess, --inprocess "
             "<conflicts>, --eager-ackermann, --profile-sat, "
             "-o <file.v>\n"
@@ -130,6 +134,29 @@ usage()
             "Trace Event timeline (Perfetto)\n"
             "run `owl list` for the design names\n");
     return 2;
+}
+
+/**
+ * Parse a numeric flag value: a whole decimal integer in [lo, hi].
+ * Anything else (empty, signs other than '-', trailing text, out of
+ * range) prints a usage error naming the flag and exits 2.
+ */
+long long
+intArg(const char *flag, const char *text, long long lo, long long hi)
+{
+    errno = 0;
+    char *end = nullptr;
+    long long v = strtoll(text, &end, 10);
+    bool starts_ok = isdigit(static_cast<unsigned char>(text[0])) ||
+                     text[0] == '-';
+    if (!starts_ok || end == text || *end != '\0' || errno == ERANGE ||
+        v < lo || v > hi) {
+        fprintf(stderr,
+                "owl: %s expects an integer in [%lld, %lld], got '%s'\n",
+                flag, lo, hi, text);
+        exit(usage());
+    }
+    return v;
 }
 
 /** True when the design argument names a `.owl` bundle file. */
@@ -230,14 +257,18 @@ cmdServe(int argc, char **argv)
         } else if (!strcmp(argv[i], "--listen") && i + 1 < argc) {
             listen_path = argv[++i];
         } else if (!strcmp(argv[i], "--sessions") && i + 1 < argc) {
-            sopts.sessions = atoi(argv[++i]);
+            sopts.sessions =
+                static_cast<int>(intArg("--sessions", argv[++i], 1, 1024));
         } else if (!strcmp(argv[i], "--queue-cap") && i + 1 < argc) {
-            sopts.queueCap = static_cast<size_t>(atol(argv[++i]));
+            sopts.queueCap = static_cast<size_t>(
+                intArg("--queue-cap", argv[++i], 1, 1 << 20));
         } else if (!strcmp(argv[i], "--cache-mb") && i + 1 < argc) {
-            sopts.cacheBytes =
-                static_cast<size_t>(atol(argv[++i])) << 20;
+            sopts.cacheBytes = static_cast<size_t>(intArg(
+                                   "--cache-mb", argv[++i], 0, 1 << 20))
+                               << 20;
         } else if (!strcmp(argv[i], "--budget") && i + 1 < argc) {
-            sopts.defaultBudgetMs = atol(argv[++i]) * 1000;
+            sopts.defaultBudgetMs =
+                intArg("--budget", argv[++i], 0, INT_MAX) * 1000;
         } else if (!strcmp(argv[i], "--stats-json") && i + 1 < argc) {
             stats_json = argv[++i];
         } else {
@@ -353,24 +384,28 @@ cmdFuzz(int argc, char **argv)
         if (!strcmp(argv[i], "--seed") && i + 1 < argc) {
             fopts.seed = strtoull(argv[++i], nullptr, 10);
         } else if (!strcmp(argv[i], "--runs") && i + 1 < argc) {
-            fopts.runs = atoi(argv[++i]);
+            fopts.runs =
+                static_cast<int>(intArg("--runs", argv[++i], 0, INT_MAX));
         } else if (!strcmp(argv[i], "--out") && i + 1 < argc) {
             out_dir = argv[++i];
         } else if (!strcmp(argv[i], "--replay") && i + 1 < argc) {
             replay_path = argv[++i];
         } else if (!strcmp(argv[i], "--vectors") && i + 1 < argc) {
-            fopts.cosimVectors = atoi(argv[++i]);
+            fopts.cosimVectors = static_cast<int>(
+                intArg("--vectors", argv[++i], 0, INT_MAX));
         } else if (!strcmp(argv[i], "--cycles") && i + 1 < argc) {
-            fopts.cosimCycles = atoi(argv[++i]);
+            fopts.cosimCycles =
+                static_cast<int>(intArg("--cycles", argv[++i], 1, 1024));
         } else if (!strcmp(argv[i], "--max-findings") &&
                    i + 1 < argc) {
-            fopts.maxFindings = atoi(argv[++i]);
+            fopts.maxFindings = static_cast<int>(
+                intArg("--max-findings", argv[++i], 0, INT_MAX));
         } else if (!strcmp(argv[i], "--dump")) {
             dump = true;
         } else if (!strcmp(argv[i], "--no-reduce")) {
             fopts.reduce = false;
         } else if (!strcmp(argv[i], "--no-check-proofs")) {
-            fopts.checkProofs = false;
+            fopts.solver.checkProofs = false;
         } else if (!strcmp(argv[i], "--verbose")) {
             fopts.verbose = true;
         } else if (!strcmp(argv[i], "--stats-json") && i + 1 < argc) {
@@ -409,7 +444,7 @@ cmdFuzz(int argc, char **argv)
         fuzz::OracleOptions oopt;
         oopt.cosimVectors = fopts.cosimVectors;
         oopt.cosimCycles = fopts.cosimCycles;
-        oopt.checkProofs = fopts.checkProofs;
+        oopt.solver = fopts.solver;
         oopt.seed = fopts.seed;
         std::vector<fuzz::Divergence> ds;
         try {
@@ -490,19 +525,13 @@ main(int argc, char **argv)
         return usage();
     std::string design = argv[2];
 
+    SynthesisOptions opts;
     bool mono = false;
-    long budget_s = 0;
+    long long budget_s = 0;
     // OWL_JOBS is the default for --jobs; an explicit flag wins.
     int jobs = 0;
     if (const char *env = getenv("OWL_JOBS"))
-        jobs = atoi(env);
-    int portfolio = 0;
-    bool check_proofs = false;
-    bool incremental = true;
-    bool profile_sat = false;
-    bool preprocess = true;
-    bool eager_ackermann = false;
-    long inprocess_conflicts = -1; // -1 = pipeline default
+        jobs = static_cast<int>(intArg("OWL_JOBS", env, 1, 1024));
     int lint_cycles = 1;
     std::string out_verilog;
     std::string stats_json;
@@ -511,27 +540,27 @@ main(int argc, char **argv)
         if (!strcmp(argv[i], "--mono")) {
             mono = true;
         } else if (!strcmp(argv[i], "--budget") && i + 1 < argc) {
-            budget_s = atol(argv[++i]);
+            budget_s = intArg("--budget", argv[++i], 0, INT_MAX);
         } else if (!strcmp(argv[i], "--jobs") && i + 1 < argc) {
-            jobs = atoi(argv[++i]);
-        } else if (!strcmp(argv[i], "--portfolio") && i + 1 < argc) {
-            portfolio = atoi(argv[++i]);
+            jobs = static_cast<int>(intArg("--jobs", argv[++i], 1, 1024));
         } else if (!strcmp(argv[i], "--check-proofs")) {
-            check_proofs = true;
+            opts.solver.checkProofs = true;
         } else if (!strcmp(argv[i], "--no-incremental")) {
-            incremental = false;
+            opts.incremental = false;
         } else if (!strcmp(argv[i], "--no-preprocess")) {
-            preprocess = false;
+            opts.solver.preprocess = false;
         } else if (!strcmp(argv[i], "--eager-ackermann")) {
-            eager_ackermann = true;
+            opts.solver.eagerAckermann = true;
         } else if (!strcmp(argv[i], "--inprocess") && i + 1 < argc) {
-            inprocess_conflicts = atol(argv[++i]);
+            opts.solver.inprocessConflicts = static_cast<uint64_t>(
+                intArg("--inprocess", argv[++i], 0, LLONG_MAX));
         } else if (!strcmp(argv[i], "--profile-sat")) {
-            profile_sat = true;
+            opts.solver.profileSat = true;
         } else if (!strcmp(argv[i], "--trace-out") && i + 1 < argc) {
             trace_out = argv[++i];
         } else if (!strcmp(argv[i], "--cycles") && i + 1 < argc) {
-            lint_cycles = atoi(argv[++i]);
+            lint_cycles =
+                static_cast<int>(intArg("--cycles", argv[++i], 1, 1024));
         } else if (!strcmp(argv[i], "-o") && i + 1 < argc) {
             out_verilog = argv[++i];
         } else if (!strcmp(argv[i], "--stats-json") && i + 1 < argc) {
@@ -597,7 +626,7 @@ main(int argc, char **argv)
     }
     if (cmd == "lint") {
         lint::LintRunOptions lopts;
-        lopts.cycles = lint_cycles > 0 ? lint_cycles : 1;
+        lopts.cycles = lint_cycles;
         lint::Report report;
         lint::LintRunStats lstats;
         lint::lintAll(cs.sketch, lopts, report, &lstats);
@@ -614,21 +643,11 @@ main(int argc, char **argv)
     if (cmd != "synth" && cmd != "control" && cmd != "verify")
         return usage();
 
-    SynthesisOptions opts;
     if (mono)
         opts.strategy = Strategy::Monolithic;
     else if (jobs > 1)
         opts.strategy = Strategy::PerInstructionParallel;
     opts.jobs = jobs;
-    opts.satPortfolio = portfolio;
-    opts.checkProofs = check_proofs;
-    opts.incremental = incremental;
-    opts.profileSat = profile_sat;
-    opts.preprocess = preprocess;
-    opts.eagerAckermann = eager_ackermann;
-    if (inprocess_conflicts >= 0)
-        opts.inprocessConflicts =
-            static_cast<uint64_t>(inprocess_conflicts);
     if (budget_s > 0)
         opts.timeLimit = std::chrono::milliseconds(budget_s * 1000);
     if (mono)
@@ -656,15 +675,10 @@ main(int argc, char **argv)
     }
     if (cmd == "verify") {
         std::string failed;
-        // The verification pass honours the same solver policy flags
-        // as synthesis (preprocessing, eager Ackermann, proofs).
+        // The verification pass honours the same solver policy as
+        // synthesis.
         CegisOptions vopts;
-        vopts.satPortfolio = opts.satPortfolio;
-        vopts.checkProofs = opts.checkProofs;
-        vopts.profileSat = opts.profileSat;
-        vopts.preprocess = opts.preprocess;
-        vopts.inprocessConflicts = opts.inprocessConflicts;
-        vopts.eagerAckermann = opts.eagerAckermann;
+        vopts.solver = opts.solver;
         SynthStatus v = verifyDesign(cs.sketch, cs.spec, cs.alpha,
                                      &failed, vopts);
         if (v != SynthStatus::Ok) {

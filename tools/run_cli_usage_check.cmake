@@ -1,0 +1,42 @@
+# CTest helper: a removed flag or a malformed number must end in a
+# usage error (exit 2 and the usage text), never be silently ignored
+# or replaced by a default. Invoked as
+#   cmake -DOWL_BIN=<owl> -P run_cli_usage_check.cmake
+
+# Run `owl synth accumulator <args>` (optionally under OWL_JOBS=<env>)
+# and require exit 2, the usage text, and `want` in the message.
+function(expect_usage_error env want)
+    set(cmd ${OWL_BIN} synth accumulator ${ARGN})
+    if(NOT env STREQUAL "")
+        set(cmd ${CMAKE_COMMAND} -E env OWL_JOBS=${env} ${cmd})
+    endif()
+    execute_process(COMMAND ${cmd}
+                    RESULT_VARIABLE rc
+                    OUTPUT_QUIET
+                    ERROR_VARIABLE err)
+    if(NOT rc EQUAL 2)
+        message(FATAL_ERROR
+            "`${cmd}` exited ${rc}, expected 2 (usage error):\n${err}")
+    endif()
+    if(NOT err MATCHES "usage: owl" OR NOT err MATCHES "${want}")
+        message(FATAL_ERROR
+            "`${cmd}` printed no usage error naming ${want}:\n${err}")
+    endif()
+endfunction()
+
+expect_usage_error("" "usage: owl" --portfolio 2)
+expect_usage_error("" "--jobs" --jobs abc)
+expect_usage_error("" "--jobs" --jobs 4x)
+expect_usage_error("" "--budget" --budget xyz)
+expect_usage_error("" "--inprocess" --inprocess -5)
+expect_usage_error("abc" "OWL_JOBS")
+
+# Well-formed values still run.
+execute_process(COMMAND ${OWL_BIN} synth accumulator --jobs 2
+                        --budget 60 --inprocess 0
+                RESULT_VARIABLE rc
+                OUTPUT_QUIET
+                ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "valid numeric flags rejected (exit ${rc}):\n${err}")
+endif()
