@@ -79,8 +79,9 @@ struct CegisOptions
     uint64_t conflictLimit = 0;
     /**
      * Cooperative cancellation, polled between CEGIS steps and inside
-     * the SAT loop. The parallel strategy uses it to abort sibling
-     * instruction tasks once the overall run has failed. May be null.
+     * the SAT loop. The parallel strategy and parallel verification
+     * use it to abort the tasks of later instructions once an earlier
+     * one has failed. May be null.
      */
     const std::atomic<bool> *cancelFlag = nullptr;
     /**

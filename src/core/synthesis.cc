@@ -1,5 +1,6 @@
 #include "core/synthesis.h"
 
+#include <algorithm>
 #include <future>
 #include <iostream>
 #include <vector>
@@ -46,6 +47,68 @@ cegisOptionsFrom(const SynthesisOptions &opts,
     c.incremental = opts.incremental;
     c.solver = opts.solver;
     return c;
+}
+
+/**
+ * Run `run(k, opts_k)` for every instruction k of an n-instruction
+ * spec, where opts_k is `opts` with a cancel flag of its own, and
+ * return the results in spec order up to and including the first one
+ * `ok` rejects: exactly what the sequential loop returns. With more
+ * than one job the calls are tasks on an exec::ThreadPool of up to
+ * `jobs` workers. A failure at k cancels only the tasks after k, so
+ * every task before k reaches its genuine result and a cancelled task
+ * is never the first failure. The calling thread only joins, in
+ * order, and relays the caller's own cancellation to every task.
+ */
+template <class Run, class Ok>
+auto
+runInstrsInOrder(size_t n, int jobs, const CegisOptions &opts, Run run,
+                 Ok ok) -> std::vector<decltype(run(size_t{}, opts))>
+{
+    using R = decltype(run(size_t{}, opts));
+    std::vector<R> out;
+    out.reserve(n);
+    if (jobs <= 1 || n <= 1) {
+        for (size_t k = 0; k < n; k++) {
+            out.push_back(run(k, opts));
+            if (!ok(out.back()))
+                break;
+        }
+        return out;
+    }
+    std::vector<exec::CancelToken> cancel(n);
+    auto cancelFrom = [&cancel](size_t k) {
+        for (size_t j = k; j < cancel.size(); j++)
+            cancel[j].cancel();
+    };
+    obs::TaskSpanContext ctx = obs::TaskSpanContext::capture();
+    // Declared after everything its tasks use: its destructor drains
+    // the tasks a failure left behind, cancelled, and joins them.
+    exec::ThreadPool pool(static_cast<int>(std::min<size_t>(jobs, n)));
+    std::vector<std::future<R>> futures;
+    futures.reserve(n);
+    for (size_t k = 0; k < n; k++) {
+        futures.push_back(pool.submit([&, k]() {
+            obs::TaskSpanScope scope(ctx);
+            CegisOptions task_opts = opts;
+            task_opts.cancelFlag = cancel[k].flag();
+            R r = run(k, task_opts);
+            if (!ok(r))
+                cancelFrom(k + 1);
+            return r;
+        }));
+    }
+    for (size_t k = 0; k < n; k++) {
+        while (futures[k].wait_for(std::chrono::milliseconds(1)) !=
+               std::future_status::ready) {
+            if (opts.cancelled())
+                cancelFrom(0);
+        }
+        out.push_back(futures[k].get());
+        if (!ok(out.back()))
+            break;
+    }
+    return out;
 }
 
 /**
@@ -305,77 +368,27 @@ synthesizeControl(oyster::Design &sketch, const ila::Ila &spec,
             std::cerr << "[owl] synthesizing "
                       << spec.instrs().size() << " instructions on "
                       << jobs << " worker(s)...\n";
-        exec::ThreadPool pool(jobs);
-        exec::CancelToken cancel;
-        // Tasks poll the token so sibling instructions stop early
-        // once the overall run is doomed.
-        CegisOptions task_opts = copts;
-        task_opts.cancelFlag = cancel.flag();
-        obs::TaskSpanContext ctx = obs::TaskSpanContext::capture();
-
-        // A task that fails *after* cancellation fired may be an
-        // artifact of the abort (its SAT calls return Unknown), not a
-        // genuine result — remember, for failure attribution below.
-        struct TaskOut
-        {
-            CegisResult r;
-            bool sawCancel = false;
-        };
-        std::vector<std::future<TaskOut>> futures;
-        futures.reserve(spec.instrs().size());
-        for (const auto &i : spec.instrs()) {
-            const ila::Instr *instr = i.get();
-            futures.push_back(pool.submit([&sketch, &spec, &alpha,
-                                           &task_opts, &cancel, &ctx,
-                                           instr]() {
-                obs::TaskSpanScope scope(ctx);
-                TaskOut out;
-                // No pinning: each instruction starts from the zero
-                // candidate, exactly like a sequential
-                // pinFirst=false run, which is what makes the merged
-                // result bit-identical to that run.
+        // No pinning: each instruction starts from the zero candidate,
+        // exactly like a sequential pinFirst=false run, which is what
+        // makes the merged result bit-identical to that run.
+        std::vector<CegisResult> rs = runInstrsInOrder(
+            spec.instrs().size(), jobs, copts,
+            [&](size_t k, const CegisOptions &o) {
                 InstrSynthesizer isynth(sketch, spec, alpha);
-                out.r = isynth.synthesize(*instr, nullptr, task_opts);
-                if (out.r.status != SynthStatus::Ok) {
-                    out.sawCancel = cancel.cancelled();
-                    cancel.cancel();
-                }
-                return out;
-            }));
-        }
-
-        // Join in instruction order (deterministic merge). Waiting
-        // helps execute queued tasks, so this cannot starve even on
-        // a single-worker pool.
-        std::string first_genuine, first_any;
-        SynthStatus genuine_status = SynthStatus::Ok;
-        SynthStatus any_status = SynthStatus::Ok;
-        size_t idx = 0;
-        for (const auto &i : spec.instrs()) {
-            TaskOut out = pool.waitFor(futures[idx++]);
-            result.cegisIterations += out.r.iterations;
-            if (out.r.status == SynthStatus::Ok) {
-                result.perInstr.emplace_back(i->name(),
-                                             out.r.holes);
-                continue;
+                return isynth.synthesize(*spec.instrs()[k], nullptr, o);
+            },
+            [](const CegisResult &r) {
+                return r.status == SynthStatus::Ok;
+            });
+        for (size_t k = 0; k < rs.size(); k++) {
+            const std::string &name = spec.instrs()[k]->name();
+            result.cegisIterations += rs[k].iterations;
+            if (rs[k].status == SynthStatus::Ok) {
+                result.perInstr.emplace_back(name, std::move(rs[k].holes));
+            } else {
+                result.status = rs[k].status;
+                result.failedInstr = name;
             }
-            bool artifact = out.sawCancel &&
-                            out.r.status == SynthStatus::Timeout;
-            if (first_any.empty()) {
-                first_any = i->name();
-                any_status = out.r.status;
-            }
-            if (!artifact && first_genuine.empty()) {
-                first_genuine = i->name();
-                genuine_status = out.r.status;
-            }
-        }
-        if (!first_genuine.empty()) {
-            result.status = genuine_status;
-            result.failedInstr = first_genuine;
-        } else if (!first_any.empty()) {
-            result.status = any_status;
-            result.failedInstr = first_any;
         }
         break;
       }
@@ -477,15 +490,57 @@ findDecodeCycle(const oyster::Design &design, const ila::Ila &spec,
     return -1;
 }
 
+/**
+ * One instruction's proof obligation Pre ∧ assumes ∧ ¬Post against
+ * the completed design, on its own term table and solver. With a
+ * decode cycle, the generated precondition wires are pinned to this
+ * instruction's side of the case split. Unknown when `opts` has
+ * expired (deadline or cancellation) before the query starts.
+ */
+CheckResult
+verifyInstr(const oyster::Design &design, const ila::Ila &spec,
+            const AbsFunc &alpha, const ila::Instr &instr,
+            int decode_cycle, const CegisOptions &opts)
+{
+    obs::ScopedSpan span("verify.instr");
+    span.attr("instr", instr.name());
+    CheckResult r = CheckResult::Unknown;
+    if (!opts.expired()) {
+        TermTable tt;
+        SymbolicEvaluator ev(design, tt);
+        applyInitAliases(design, alpha, tt, ev);
+        if (decode_cycle > 0) {
+            for (const auto &j : spec.instrs()) {
+                ev.pinWire("pre_" + j->name(), decode_cycle,
+                           j.get() == &instr ? tt.trueTerm()
+                                             : tt.falseTerm());
+            }
+        }
+        SymRun run = ev.run(alpha.cycles());
+        SpecCompiler sc(spec, alpha, tt, run, design);
+        InstrConditions conds = sc.compileInstr(instr);
+        std::vector<TermRef> pins;
+        for (const auto &[computed, pinned] : run.pinConstraints)
+            pins.push_back(tt.mkEq(computed, pinned));
+        r = smt::checkSat(tt, conds.violation(tt, pins), nullptr,
+                          opts.solveLimits());
+    }
+    span.attr("result", r == CheckResult::Unsat ? "unsat"
+                        : r == CheckResult::Sat ? "sat"
+                                                : "unknown");
+    return r;
+}
+
 } // namespace
 
 SynthStatus
 verifyDesign(const oyster::Design &design, const ila::Ila &spec,
              const AbsFunc &alpha, std::string *failed_instr,
-             const CegisOptions &opts)
+             const CegisOptions &opts, int jobs)
 {
     obs::ScopedSpan span("verifyDesign");
-    span.attr("instrs", spec.instrs().size());
+    const size_t n = spec.instrs().size();
+    span.attr("instrs", n);
     OWL_COUNTER_INC("verify.designs");
     lint::checkDesign(design, /*allow_holes=*/false);
     // With pairwise-disjoint decode conditions, the generated
@@ -500,34 +555,22 @@ verifyDesign(const oyster::Design &design, const ila::Ila &spec,
     int decode_cycle =
         exclusive ? findDecodeCycle(design, spec, alpha) : -1;
 
-    for (const auto &i : spec.instrs()) {
-        TermTable tt;
-        SymbolicEvaluator ev(design, tt);
-        applyInitAliases(design, alpha, tt, ev);
-        if (decode_cycle > 0) {
-            for (const auto &j : spec.instrs()) {
-                ev.pinWire("pre_" + j->name(), decode_cycle,
-                           j.get() == i.get() ? tt.trueTerm()
-                                              : tt.falseTerm());
-            }
-        }
-        SymRun run = ev.run(alpha.cycles());
-        SpecCompiler sc(spec, alpha, tt, run, design);
-        InstrConditions conds = sc.compileInstr(*i);
-        std::vector<TermRef> pins;
-        for (const auto &[computed, pinned] : run.pinConstraints)
-            pins.push_back(tt.mkEq(computed, pinned));
-
-        CheckResult r = smt::checkSat(tt, conds.violation(tt, pins),
-                                      nullptr, opts.solveLimits());
-        if (r == CheckResult::Unsat)
-            continue;
-        if (failed_instr)
-            *failed_instr = i->name();
-        return r == CheckResult::Unknown ? SynthStatus::Timeout
-                                         : SynthStatus::Unsat;
-    }
-    return SynthStatus::Ok;
+    if (jobs <= 0)
+        jobs = exec::defaultJobs();
+    span.attr("jobs", jobs);
+    std::vector<CheckResult> results = runInstrsInOrder(
+        n, jobs, opts,
+        [&](size_t k, const CegisOptions &o) {
+            return verifyInstr(design, spec, alpha, *spec.instrs()[k],
+                               decode_cycle, o);
+        },
+        [](CheckResult r) { return r == CheckResult::Unsat; });
+    if (results.empty() || results.back() == CheckResult::Unsat)
+        return SynthStatus::Ok;
+    if (failed_instr)
+        *failed_instr = spec.instrs()[results.size() - 1]->name();
+    return results.back() == CheckResult::Unknown ? SynthStatus::Timeout
+                                                  : SynthStatus::Unsat;
 }
 
 } // namespace owl::synth

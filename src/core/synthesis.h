@@ -21,7 +21,8 @@
  *
  * verifyDesign() checks a completed (hole-free) design against the
  * specification — used for the handwritten references and as the
- * final assurance on synthesized designs.
+ * final assurance on synthesized designs — one independent query per
+ * instruction, in parallel when given more than one job.
  */
 
 #ifndef OWL_CORE_SYNTHESIS_H
@@ -71,7 +72,7 @@ struct SynthesisOptions
     bool pinFirst = true;
     /**
      * Worker threads for PerInstructionParallel; 0 = OWL_JOBS env or
-     * hardware concurrency (exec::defaultJobs()).
+     * the calling thread's CPU count (exec::defaultJobs()).
      */
     int jobs = 0;
     /**
@@ -140,13 +141,25 @@ SynthStatus checkMutualExclusion(const oyster::Design &design,
  * conditions false, which lets the solver resolve the generated
  * control union's selection chains by unit propagation.
  *
- * @return Ok when every instruction verifies; Unsat with the
- *         offending instruction in *failed_instr otherwise.
+ * The instructions' queries are independent (each has its own term
+ * table and solver), so with `jobs` > 1 they run as tasks on an
+ * exec::ThreadPool; 0 means exec::defaultJobs(), as for
+ * SynthesisOptions::jobs. With one job or one instruction they run
+ * inline, in spec order, with no pool. Either way the verdict is the
+ * same: the first instruction in spec order whose query is not
+ * Unsat decides it, and a failure cancels only the instructions
+ * after it, so a cancelled query is never the one reported. Solver
+ * work, and so every counter, is the same at any job count.
+ *
+ * @return Ok when every instruction verifies; otherwise Unsat (a
+ *         counterexample exists) or Timeout (the solver gave up, or
+ *         opts' deadline or cancellation hit first), with that first
+ *         instruction in *failed_instr.
  */
 SynthStatus verifyDesign(const oyster::Design &design,
                          const ila::Ila &spec, const AbsFunc &alpha,
                          std::string *failed_instr = nullptr,
-                         const CegisOptions &opts = {});
+                         const CegisOptions &opts = {}, int jobs = 0);
 
 } // namespace owl::synth
 

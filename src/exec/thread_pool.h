@@ -20,9 +20,10 @@
  *    solver accepts its raw flag() so in-flight solves abort within a
  *    few conflicts of cancellation.
  *
- * Consumer: Strategy::PerInstructionParallel in owl::synth (one task
- * per instruction, results joined deterministically in instruction
- * order), plus serve's session threads.
+ * Consumers: Strategy::PerInstructionParallel and verifyDesign() in
+ * owl::synth (one task per instruction, results joined
+ * deterministically in instruction order), plus serve's session
+ * threads.
  */
 
 #ifndef OWL_EXEC_THREAD_POOL_H
@@ -91,7 +92,11 @@ class CancelToken
 
 /**
  * Degree of parallelism to use when a caller passes 0: the OWL_JOBS
- * environment variable if set to a positive integer, otherwise
+ * environment variable when it is a whole decimal integer in
+ * [1, 1024] (any other value counts as unset), otherwise the number
+ * of CPUs in the calling thread's affinity mask, so a thread pinned
+ * by taskset, a cpuset or sched_setaffinity gets that many workers
+ * and not one per CPU of the machine. Falls back to
  * std::thread::hardware_concurrency(), never less than 1.
  */
 int defaultJobs();

@@ -218,9 +218,13 @@ Server::processJob(const JobRequest &req)
                 synth::applyControlUnion(cs.sketch, cs.spec, cs.alpha,
                                          res.holes);
                 if (req.verify) {
+                    // One job: the sessions are serve's parallelism,
+                    // and every session fanning out to nproc threads
+                    // would oversubscribe the machine.
                     std::string failed;
                     synth::SynthStatus v = synth::verifyDesign(
-                        cs.sketch, cs.spec, cs.alpha, &failed, copts);
+                        cs.sketch, cs.spec, cs.alpha, &failed, copts,
+                        /*jobs=*/1);
                     if (v != synth::SynthStatus::Ok) {
                         res.status = "verify-failed";
                         res.failedInstr = failed;

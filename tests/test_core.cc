@@ -11,13 +11,16 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <functional>
 #include <map>
+#include <optional>
 #include <random>
 #include <string>
 
 #include "designs/accumulator.h"
 #include "designs/alu_machine.h"
+#include "designs/registry.h"
 #include "core/synthesis.h"
 #include "obs/obs.h"
 #include "oyster/interp.h"
@@ -141,9 +144,16 @@ TEST(CoreAccumulator, UnsatSketchReportsFailure)
     d.assign("st", d.var("st_next"));
     d.assign("out", acc);
 
-    SynthesisResult r = synthesizeControl(d, cs.spec, cs.alpha);
-    EXPECT_EQ(r.status, SynthStatus::Unsat);
-    EXPECT_EQ(r.failedInstr, "go_instr");
+    // The parallel strategy reports the same first failure.
+    SynthesisOptions par;
+    par.strategy = Strategy::PerInstructionParallel;
+    par.jobs = 4;
+    for (const SynthesisOptions &opts : {SynthesisOptions{}, par}) {
+        SCOPED_TRACE(strategyName(opts.strategy));
+        SynthesisResult r = synthesizeControl(d, cs.spec, cs.alpha, opts);
+        EXPECT_EQ(r.status, SynthStatus::Unsat);
+        EXPECT_EQ(r.failedInstr, "go_instr");
+    }
 }
 
 TEST(CoreAluMachine, SynthesizesAndVerifies)
@@ -383,4 +393,104 @@ TEST(CoreAluMachine, SketchSizeIsReported)
 {
     CaseStudy cs = makeAluMachine();
     EXPECT_GT(oyster::sketchSizeLoc(cs.sketch), 20);
+}
+
+// ---- verifyDesign ------------------------------------------------------
+
+namespace
+{
+
+/** The counters of a verification pass's solver work. */
+const char *const kVerifyWork[] = {"smt.checks", "smt.term_nodes",
+                                   "sat.conflicts", "sat.propagations"};
+
+std::map<std::string, uint64_t>
+verifyWork()
+{
+    std::map<std::string, uint64_t> out;
+    for (const char *n : kVerifyWork)
+        out[n] = obs::Registry::instance().counterValue(n);
+    return out;
+}
+
+} // namespace
+
+TEST(CoreVerify, ParallelMatchesSequential)
+{
+    // Each instruction's query has its own term table and solver, so
+    // running them on four workers changes neither the verdict nor
+    // the solver work.
+    for (const char *name : {"alu-machine", "rv32i", "crypto-core"}) {
+        SCOPED_TRACE(name);
+        std::optional<CaseStudy> cs = makeCaseStudy(name);
+        ASSERT_TRUE(cs);
+        SynthesisOptions opts;
+        opts.strategy = Strategy::PerInstructionParallel;
+        opts.jobs = 4;
+        SynthesisResult r =
+            synthesizeControl(cs->sketch, cs->spec, cs->alpha, opts);
+        ASSERT_EQ(r.status, SynthStatus::Ok) << r.failedInstr;
+
+        const int jobs[2] = {1, 4};
+        std::map<std::string, uint64_t> work[2];
+        for (int k = 0; k < 2; k++) {
+            SCOPED_TRACE(jobs[k]);
+            std::map<std::string, uint64_t> before = verifyWork();
+            std::string failed;
+            EXPECT_EQ(verifyDesign(cs->sketch, cs->spec, cs->alpha,
+                                   &failed, {}, jobs[k]),
+                      SynthStatus::Ok)
+                << "failed at " << failed;
+            for (auto &[n, v] : verifyWork())
+                work[k][n] = v - before[n];
+        }
+        if (obs::enabled()) {
+            EXPECT_GT(work[0]["smt.checks"], 0u);
+            EXPECT_EQ(work[0], work[1]);
+        }
+    }
+}
+
+TEST(CoreVerify, ReportsFirstWrongInstructionInOrder)
+{
+    CaseStudy ref = makeAluMachine();
+    SynthesisResult r = synthesizeControl(ref.sketch, ref.spec, ref.alpha);
+    ASSERT_EQ(r.status, SynthStatus::Ok) << r.failedInstr;
+
+    // Wrong ALU ops on ADD and on SUB. The spec order is NOP, ADD,
+    // XOR, SUB: ADD is the first wrong instruction, and a correct one
+    // comes before it.
+    PerInstrResults wrong = r.perInstr;
+    for (auto &[name, holes] : wrong) {
+        if (name == "ADD")
+            holes.at("alu_op") = BitVec(2, aluXOR);
+        if (name == "SUB")
+            holes.at("alu_op") = BitVec(2, aluADD);
+    }
+    CaseStudy cs = makeAluMachine();
+    applyControlUnion(cs.sketch, cs.spec, cs.alpha, wrong);
+    for (int rep = 0; rep < 20; rep++) {
+        for (int jobs : {1, 4}) {
+            SCOPED_TRACE(jobs);
+            std::string failed;
+            EXPECT_EQ(verifyDesign(cs.sketch, cs.spec, cs.alpha, &failed,
+                                   {}, jobs),
+                      SynthStatus::Unsat);
+            EXPECT_EQ(failed, "ADD");
+        }
+    }
+
+    // A deadline that has passed stops the correct design at its
+    // first instruction too.
+    CegisOptions expired;
+    expired.deadline =
+        std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
+    for (int jobs : {1, 4}) {
+        SCOPED_TRACE(jobs);
+        std::string failed;
+        EXPECT_EQ(verifyDesign(ref.sketch, ref.spec, ref.alpha, &failed,
+                               expired, jobs),
+                  SynthStatus::Timeout);
+        EXPECT_EQ(failed, "NOP");
+    }
 }

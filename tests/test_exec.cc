@@ -8,10 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <mutex>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -99,6 +104,79 @@ TEST(ExecPool, DefaultJobsIsPositive)
     EXPECT_GE(defaultJobs(), 1);
     ThreadPool pool; // 0 = defaultJobs()
     EXPECT_GE(pool.workerCount(), 1);
+}
+
+namespace
+{
+
+/** Sets OWL_JOBS (nullopt: unsets it) for one scope, then restores it. */
+class ScopedJobsEnv
+{
+  public:
+    explicit ScopedJobsEnv(std::optional<std::string> value)
+    {
+        if (const char *old = std::getenv("OWL_JOBS"))
+            saved = old;
+        set(value);
+    }
+    ~ScopedJobsEnv() { set(saved); }
+
+  private:
+    std::optional<std::string> saved;
+
+    static void set(const std::optional<std::string> &value)
+    {
+        if (value)
+            setenv("OWL_JOBS", value->c_str(), 1);
+        else
+            unsetenv("OWL_JOBS");
+    }
+};
+
+} // namespace
+
+TEST(ExecPool, DefaultJobsHonoursAffinityMask)
+{
+    ScopedJobsEnv env(std::nullopt);
+    cpu_set_t saved;
+    CPU_ZERO(&saved);
+    ASSERT_EQ(sched_getaffinity(0, sizeof saved, &saved), 0);
+    int cpu = 0;
+    while (!CPU_ISSET(cpu, &saved))
+        cpu++;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
+    int pinned = defaultJobs();
+    ASSERT_EQ(sched_setaffinity(0, sizeof saved, &saved), 0);
+    EXPECT_EQ(pinned, 1);
+    EXPECT_EQ(defaultJobs(), CPU_COUNT(&saved));
+}
+
+TEST(ExecPool, DefaultJobsParsesOwlJobsStrictly)
+{
+    int unset;
+    {
+        ScopedJobsEnv env(std::nullopt);
+        unset = defaultJobs();
+    }
+    {
+        ScopedJobsEnv env("3");
+        EXPECT_EQ(defaultJobs(), 3);
+    }
+    {
+        ScopedJobsEnv env("1024");
+        EXPECT_EQ(defaultJobs(), 1024);
+    }
+    // Anything but a whole decimal integer in [1, 1024] counts as
+    // unset, as the CLI's usage check would have it.
+    for (const char *bad : {"4x", "abc", "0", "-3", "2000", "", "+2",
+                            " 2"}) {
+        SCOPED_TRACE(bad);
+        ScopedJobsEnv env(bad);
+        EXPECT_EQ(defaultJobs(), unset);
+    }
 }
 
 // ---- cancel token ------------------------------------------------------

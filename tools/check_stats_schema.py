@@ -132,6 +132,35 @@ def check_spec_compile_spans(spans):
                  % (attrs.get("memo_hits"),))
 
 
+def check_verify_instr_spans(doc):
+    """verifyDesign books one verify.instr child per instruction, in
+    parallel runs too (worker spans are adopted by the dispatching
+    span), each naming its instruction and its solver verdict, and a
+    jobs attr with the worker count it used."""
+    seen = 0
+    for span, path in iter_spans(doc["spans"], "$/spans"):
+        if span["name"] != "verifyDesign":
+            continue
+        seen += 1
+        attrs = span.get("attrs", {})
+        if not is_uint(attrs.get("jobs")) or attrs["jobs"] < 1:
+            fail(path, "verifyDesign span needs an integer attr 'jobs' "
+                       ">= 1, got %r" % (attrs.get("jobs"),))
+        instrs = [c for c in span.get("children", [])
+                  if c["name"] == "verify.instr"]
+        if len(instrs) != attrs.get("instrs"):
+            fail(path, "%d verify.instr children, but the span's instrs "
+                       "attr is %r" % (len(instrs), attrs.get("instrs")))
+        for c in instrs:
+            a = c.get("attrs", {})
+            if not isinstance(a.get("instr"), str) or \
+                    a.get("result") not in ("sat", "unsat", "unknown"):
+                fail(path, "verify.instr span needs a string 'instr' and "
+                           "a 'result' of sat/unsat/unknown, got %r" % (a,))
+    if seen == 0:
+        fail("$/spans", "no verifyDesign span")
+
+
 def span_names(spans):
     names = set()
     todo = list(spans)
@@ -519,12 +548,14 @@ def main():
                      [check_query_histograms,
                       check_preprocess_stats]))
         # Verification re-compiles every instruction's conditions
-        # against the completed design.
-        runs.append((["verify", "accumulator"],
-                     ["synthesize", "verifyDesign", "mutex_check",
-                      "spec.compile", "smt.checkSat"],
-                     ["verify.designs"],
-                     []))
+        # against the completed design, inline and on two workers.
+        for jobs in ([], ["--jobs", "2"]):
+            runs.append((["verify", "accumulator"] + jobs,
+                         ["synthesize", "verifyDesign", "mutex_check",
+                          "verify.instr", "spec.compile",
+                          "smt.checkSat"],
+                         ["verify.designs"],
+                         [check_verify_instr_spans]))
         # The raw path must still behave like the seed: search does
         # real work (nonzero conflicts/decisions) and the preprocess
         # counter family stays silent.

@@ -31,9 +31,10 @@
  *   owl control <design>
  *       Synthesize and print just the generated control logic,
  *       PyRTL-style (the Figure 7 view).
- *   owl verify <design>
+ *   owl verify <design> [synth options]
  *       Synthesize, then independently re-verify the completed design
- *       against the specification.
+ *       against the specification. `--jobs N` (or OWL_JOBS) also
+ *       checks the instructions' verification queries on N threads.
  *   owl lint <design>
  *       Run the static-analysis passes (DESIGN.md §8) over the
  *       design's four IRs — Oyster sketch, SMT term DAG, bit-blasted
@@ -115,7 +116,9 @@ usage()
             "usage: owl <command> [<design>|<file.owl>] [options]\n"
             "commands: list | sketch | alpha | synth | control | "
             "verify | lint | serve | fuzz\n"
-            "options (synth): --mono, --jobs <n> (or OWL_JOBS), "
+            "options (synth, control, verify): --mono, --jobs <n> "
+            "(or OWL_JOBS; verify checks instructions on n threads "
+            "too), "
             "--budget <seconds>, --check-proofs, "
             "--no-incremental, --no-preprocess, --inprocess "
             "<conflicts>, --eager-ackermann, --profile-sat, "
@@ -675,12 +678,13 @@ main(int argc, char **argv)
     }
     if (cmd == "verify") {
         std::string failed;
-        // The verification pass honours the same solver policy as
-        // synthesis.
+        // The verification pass honours the same solver policy and
+        // job count as synthesis: one thread unless --jobs/OWL_JOBS
+        // asks for more.
         CegisOptions vopts;
         vopts.solver = opts.solver;
         SynthStatus v = verifyDesign(cs.sketch, cs.spec, cs.alpha,
-                                     &failed, vopts);
+                                     &failed, vopts, jobs > 0 ? jobs : 1);
         if (v != SynthStatus::Ok) {
             fprintf(stderr, "[owl] verification failed at %s\n",
                     failed.c_str());

@@ -40,3 +40,25 @@ execute_process(COMMAND ${OWL_BIN} synth accumulator --jobs 2
 if(NOT rc EQUAL 0)
     message(FATAL_ERROR "valid numeric flags rejected (exit ${rc}):\n${err}")
 endif()
+
+# `owl verify` takes the same --jobs: one and two workers verify, and
+# zero is out of range like it is for synth.
+foreach(jobs 1 2)
+    execute_process(COMMAND ${OWL_BIN} verify accumulator --jobs ${jobs}
+                    RESULT_VARIABLE rc
+                    OUTPUT_QUIET
+                    ERROR_VARIABLE err)
+    if(NOT rc EQUAL 0)
+        message(FATAL_ERROR
+            "`owl verify accumulator --jobs ${jobs}` exited ${rc}:\n${err}")
+    endif()
+endforeach()
+execute_process(COMMAND ${OWL_BIN} verify accumulator --jobs 0
+                RESULT_VARIABLE rc
+                OUTPUT_QUIET
+                ERROR_VARIABLE err)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "--jobs")
+    message(FATAL_ERROR
+        "`owl verify accumulator --jobs 0` exited ${rc}, expected 2 "
+        "(usage error naming --jobs):\n${err}")
+endif()
