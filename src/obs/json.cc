@@ -172,9 +172,17 @@ class Parser
     }
 
   private:
+    /**
+     * Deepest array/object nesting accepted. The parser recurses once
+     * per level, so hostile input (a serve request of 300k '[') would
+     * otherwise overflow the stack instead of ending in an error.
+     */
+    static constexpr int kMaxDepth = 512;
+
     const std::string &text;
     std::string *err;
     size_t pos = 0;
+    int depth = 0; ///< open arrays/objects around pos
 
     bool
     fail(const std::string &msg)
@@ -214,8 +222,15 @@ class Parser
             return fail("unexpected end of input");
         char c = text[pos];
         switch (c) {
-          case '{': return parseObject(out);
-          case '[': return parseArray(out);
+          case '{':
+          case '[': {
+            if (depth == kMaxDepth)
+                return fail("nesting too deep");
+            depth++;
+            bool ok = c == '{' ? parseObject(out) : parseArray(out);
+            depth--;
+            return ok;
+          }
           case '"': {
             std::string s;
             if (!parseString(s))

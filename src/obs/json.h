@@ -85,7 +85,8 @@ class Value
 
     /**
      * Parse a complete JSON document. Returns false (and fills *err
-     * with position + message, when non-null) on malformed input.
+     * with position + message, when non-null) on malformed input,
+     * including arrays/objects nested more than 512 deep.
      */
     static bool parse(const std::string &text, Value &out,
                       std::string *err = nullptr);

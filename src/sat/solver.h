@@ -257,11 +257,15 @@ class Solver
      * activation literals, and solve() auto-freezes its assumption
      * variables. Freezing is permanent (there is no un-elimination:
      * the DRAT log is RUP-only, so a reintroduced variable's defining
-     * clauses could not be justified to the checker).
+     * clauses could not be justified to the checker). So freezing an
+     * eliminated variable is a caller bug, caught here like a clause
+     * or an assumption over one.
      */
     void setFrozen(int var, bool frozen = true)
     {
         owl_assert(var >= 0 && var < nVars, "freeze of unknown var");
+        owl_assert(!frozen || !elimV[var], "freeze of eliminated variable ",
+                   var);
         frozenV[var] = frozen ? 1 : 0;
     }
     bool isFrozen(int var) const { return frozenV[var] != 0; }

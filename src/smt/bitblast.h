@@ -6,24 +6,50 @@
  * first. Constant bits are the shared true/false literals, so the gate
  * helpers can short-circuit and a lot of structurally-constant logic
  * never reaches the SAT solver.
+ *
+ * Every gate goes through one structural-hashing (strash) layer, as in
+ * an AIG package: AND, XOR and mux inputs are normalised (constants
+ * folded, inputs ordered, negations pushed onto the output edge) and
+ * looked up in a per-blaster table before a variable is allocated, so
+ * the same gate over the same literals is built once. DESIGN.md §15
+ * has the normalisation rules and the reuse rule.
  */
 
 #ifndef OWL_SMT_BITBLAST_H
 #define OWL_SMT_BITBLAST_H
 
+#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
+#include "obs/obs.h"
 #include "sat/solver.h"
 #include "smt/term.h"
 
 namespace owl::smt
 {
 
+/** Gate-level work of one BitBlaster, cumulative. */
+struct BlastStats
+{
+    /** Gates given a fresh variable and defining clauses. */
+    uint64_t gates = 0;
+    /** Gate requests answered by an existing gate from the table. */
+    uint64_t strashHits = 0;
+};
+
 /**
  * Bit-blasts terms from one TermTable into one sat::Solver. The
  * blaster caches literal vectors per term, so shared subterms produce
- * shared circuitry (structural CSE at the CNF level).
+ * shared circuitry, and hashes every gate it makes, so the same gate
+ * reached from different terms is shared too.
+ *
+ * The blaster may outlive solves of its solver (IncrementalContext
+ * blasts between check() calls). A table hit is reused only while its
+ * output variable is not eliminated; otherwise the gate is rebuilt
+ * over a fresh variable. Simplification preserves the formula
+ * projected onto the surviving variables, so a surviving output still
+ * means its gate.
  */
 class BitBlaster
 {
@@ -55,17 +81,36 @@ class BitBlaster
     /**
      * Append-only log of every literal a cached encoding exposes (the
      * shared true literal, then each blasted term's literal vector in
-     * completion order). These are exactly the literals future clauses
-     * and assumptions can mention — gate-internal variables never
-     * escape blastNode() — so the incremental layer freezes them
+     * completion order). These are the literals callers' clauses and
+     * assumptions can mention, so the incremental layer freezes them
      * (sat::Solver::setFrozen) before letting the pre/inprocessing
-     * pass eliminate anything. Indices into the log are stable; the
-     * caller keeps a high-water mark and freezes the suffix.
+     * pass eliminate anything. Gate-internal variables stay unfrozen:
+     * the only later use of one is a strash hit, which checks that it
+     * survived. Indices into the log are stable; the caller keeps a
+     * high-water mark and freezes the suffix.
      */
     const std::vector<sat::Lit> &cacheOutputLog() const
     {
         return outputLog;
     }
+
+    const BlastStats &stats() const { return bstats; }
+
+    /**
+     * Book the gates and strash hits made since the previous call as
+     * attributes of `span` (an smt.bitblast span) and on the
+     * smt.bitblast.gates / smt.bitblast.strash_hits counters, so the
+     * span attributes of a run add up to its counters.
+     */
+    void bookStats(obs::ScopedSpan &span);
+
+    /**
+     * Native multiplexer c ? t : e: one variable and six clauses
+     * (the two redundant ones let propagation see t == e). Hashed on
+     * (c, t, e) after normalising c and t to positive literals;
+     * degenerate forms reduce to a hashed AND, OR or XOR.
+     */
+    sat::Lit gMux(sat::Lit c, sat::Lit t, sat::Lit e);
 
   private:
     const TermTable &tt;
@@ -74,15 +119,43 @@ class BitBlaster
     std::unordered_map<uint32_t, std::vector<sat::Lit>> cache;
     std::vector<sat::Lit> outputLog; ///< see cacheOutputLog()
 
+    /**
+     * One strash table entry: a normalised gate and its output. AND
+     * and XOR keys carry a tag in `c`; a mux key is (c, t, e). Literal
+     * codes stay below 2^31, so the tags cannot collide with a mux.
+     */
+    struct Gate
+    {
+        uint32_t a, b, c;
+        sat::Lit out; ///< invalid marks an empty slot
+    };
+    static constexpr uint32_t kAndTag = 0xffffffffu;
+    static constexpr uint32_t kXorTag = 0xfffffffeu;
+    /** Open addressing, linear probing, power-of-two size. */
+    std::vector<Gate> gates;
+    size_t gatesUsed = 0;
+    BlastStats bstats;
+    BlastStats booked; ///< bstats at the last bookStats()
+
     sat::Lit lConst(bool v) const { return v ? tl : ~tl; }
     bool isTrueLit(sat::Lit l) const { return l == tl; }
     bool isFalseLit(sat::Lit l) const { return l == ~tl; }
 
     sat::Lit freshLit();
+    /** The slot holding key (a, b, c), or the empty slot for it. */
+    Gate &gateSlot(uint32_t a, uint32_t b, uint32_t c);
+    /**
+     * The output of the gate with key (a, b, c). A table hit is reused
+     * unless the simplifier eliminated its output: such a gate has no
+     * defining clauses left. Otherwise a fresh output variable takes
+     * the slot and `fresh` tells the caller to add its clauses.
+     */
+    sat::Lit gate(uint32_t a, uint32_t b, uint32_t c, bool &fresh);
     sat::Lit gAnd(sat::Lit a, sat::Lit b);
     sat::Lit gOr(sat::Lit a, sat::Lit b);
     sat::Lit gXor(sat::Lit a, sat::Lit b);
-    sat::Lit gMux(sat::Lit c, sat::Lit t, sat::Lit e);
+    /** Term-level ite as a hashed AND/OR pair (see blastNode()). */
+    sat::Lit gIte(sat::Lit c, sat::Lit t, sat::Lit e);
     /** Full adder; returns sum, sets carry_out. */
     sat::Lit gFullAdder(sat::Lit a, sat::Lit b, sat::Lit cin,
                         sat::Lit &cout);

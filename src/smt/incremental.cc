@@ -129,17 +129,24 @@ IncrementalContext::assertPermanent(TermRef t)
     }
     size_t cached_before = blaster->cachedTerms();
     uint64_t reachable = reachableTerms({t});
-    blaster->assertTrue(t);
-    uint64_t fresh = blaster->cachedTerms() - cached_before;
-    istats.cacheHits += reachable - fresh;
-    istats.nodesEncoded += fresh;
-    registerLeaves({t});
+    {
+        obs::ScopedSpan bb_span("smt.bitblast");
+        blaster->assertTrue(t);
+        uint64_t fresh = blaster->cachedTerms() - cached_before;
+        istats.cacheHits += reachable - fresh;
+        istats.nodesEncoded += fresh;
+        registerLeaves({t});
+        blaster->bookStats(bb_span);
+    }
     freezeOutputs();
 }
 
 std::vector<sat::Lit>
 IncrementalContext::literalsOf(TermRef t)
 {
+    // No smt.bitblast span: callers ask for hole leaves, which are
+    // already blasted. Gates made here, if any, are booked by the
+    // next span's bookStats().
     std::vector<sat::Lit> lits = blaster->blast(t);
     freezeOutputs();
     return lits;
@@ -183,19 +190,24 @@ IncrementalContext::addGroup(const std::vector<TermRef> &assertions)
     int avar = solver->newVar();
     sat::Lit act(avar, false);
     actVarToGroup.emplace(avar, gid);
-    for (TermRef t : assertions) {
-        owl_assert(tt.width(t) == 1, "assertion must be 1-bit");
-        // A constant-false assertion blasts to the shared false
-        // literal; (~act v false) simplifies to the unit ~act, which
-        // correctly makes every later check() conditionally Unsat.
-        sat::Lit l = blaster->blast(t)[0];
-        solver->addClause(~act, l);
+    uint64_t fresh;
+    {
+        obs::ScopedSpan bb_span("smt.bitblast");
+        for (TermRef t : assertions) {
+            owl_assert(tt.width(t) == 1, "assertion must be 1-bit");
+            // A constant-false assertion blasts to the shared false
+            // literal; (~act v false) simplifies to the unit ~act,
+            // which correctly makes every later check() conditionally
+            // Unsat.
+            sat::Lit l = blaster->blast(t)[0];
+            solver->addClause(~act, l);
+        }
+        fresh = blaster->cachedTerms() - cached_before;
+        istats.cacheHits += reachable - fresh;
+        istats.nodesEncoded += fresh;
+        registerLeaves(assertions);
+        blaster->bookStats(bb_span);
     }
-    uint64_t fresh = blaster->cachedTerms() - cached_before;
-    istats.cacheHits += reachable - fresh;
-    istats.nodesEncoded += fresh;
-
-    registerLeaves(assertions);
     freezeOutputs();
     // The activation literal rides in every later check()'s assumption
     // set.
@@ -282,9 +294,13 @@ IncrementalContext::check(Model *model, const SolveLimits &limits,
         if (lemmas.empty())
             break; // congruence-clean: genuinely Sat
         obs::ScopedSpan ack_span("smt.ackermann");
-        for (TermRef cong : lemmas) {
-            blaster->assertTrue(cong);
-            istats.ackermannConstraints++;
+        {
+            obs::ScopedSpan bb_span("smt.bitblast");
+            for (TermRef cong : lemmas) {
+                blaster->assertTrue(cong);
+                istats.ackermannConstraints++;
+            }
+            blaster->bookStats(bb_span);
         }
         freezeOutputs();
         ack_lemmas += lemmas.size();

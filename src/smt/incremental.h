@@ -199,6 +199,8 @@ class IncrementalContext
     const IncrementalStats &stats() const { return istats; }
     /** The session solver's cumulative SAT statistics. */
     const sat::Stats &satStats() const { return solver->stats(); }
+    /** The session blaster's cumulative gate and strash-hit counts. */
+    const BlastStats &blastStats() const { return blaster->stats(); }
     /** The policy fixed at construction. */
     const SolverPolicy &policy() const { return sessionPolicy; }
 

@@ -191,6 +191,7 @@ checkSat(TermTable &tt, const std::vector<TermRef> &assertions,
                          static_cast<int64_t>(solver->numVars()));
             bb_span.attr("terms",
                          static_cast<int64_t>(tt.numNodes()));
+            blaster->bookStats(bb_span);
         }
         if (trivially_false)
             break;

@@ -135,6 +135,73 @@ TEST(Incremental, SessionProofCheckOnUnconditionalUnsat)
     EXPECT_FALSE(stats.unsatConditional);
 }
 
+TEST(Incremental, RebuildsStrashGatesTheSimplifierEliminated)
+{
+    // Eq(x, y) hides one XOR gate per bit behind its AND chain. Those
+    // gates are not cache outputs, so they stay unfrozen and the first
+    // check()'s simplification round can eliminate them. Xor(x, y)
+    // later asks the blaster for the same gates: a table hit whose
+    // output was eliminated must be rebuilt over a fresh variable,
+    // since reusing it would freeze or mention an eliminated variable
+    // (both panic). Run with and without preprocessing: the second
+    // batch makes more gates only where a round eliminated some.
+    struct Session
+    {
+        uint64_t secondBatchGates = 0;
+        std::vector<CheckResult> verdicts;
+        int proofs = 0; ///< formula-level Unsat verdicts replayed
+    };
+    auto run = [](bool preprocess) {
+        TermTable tt;
+        TermRef x = tt.freshVar("x", 8);
+        TermRef y = tt.freshVar("y", 8);
+        TermRef same = tt.mkEq(x, y);
+        TermRef mix = tt.mkXor(x, y);
+        TermRef apart = tt.mkEq(mix, tt.constant(8, 0x5a));
+        TermRef small = tt.mkUlt(mix, tt.constant(8, 0x40));
+        SolverPolicy policy;
+        policy.checkProofs = true;
+        policy.preprocess = preprocess;
+        IncrementalContext ctx(tt, policy);
+        Session out;
+        auto check = [&](std::vector<TermRef> oneshot) {
+            CheckStats stats;
+            CheckResult r = ctx.check(nullptr, {}, &stats);
+            SolveLimits proofs;
+            proofs.solver.checkProofs = true;
+            EXPECT_EQ(r, checkSat(tt, oneshot, nullptr, proofs));
+            // Every formula-level Unsat was replayed (a failed replay
+            // panics inside check()).
+            bool refuted = r == CheckResult::Unsat && !stats.unsatConditional;
+            EXPECT_EQ(stats.proofChecked, refuted);
+            out.proofs += stats.proofChecked;
+            out.verdicts.push_back(r);
+        };
+        ctx.addGroup({same});
+        check({same});
+        uint64_t gates = ctx.blastStats().gates;
+        ctx.addGroup({small});
+        out.secondBatchGates = ctx.blastStats().gates - gates;
+        check({same, small});
+        ctx.addGroup({apart});
+        check({same, small, apart});
+        ctx.assertPermanent(apart);
+        ctx.assertPermanent(same);
+        check({same, small, apart});
+        return out;
+    };
+    Session raw = run(false);
+    Session simp = run(true);
+    EXPECT_GT(simp.secondBatchGates, raw.secondBatchGates);
+    EXPECT_EQ(simp.proofs, 1);
+    EXPECT_EQ(raw.proofs, 1);
+    EXPECT_EQ(simp.verdicts, raw.verdicts);
+    EXPECT_EQ(simp.verdicts,
+              (std::vector<CheckResult>{CheckResult::Sat, CheckResult::Sat,
+                                        CheckResult::Unsat,
+                                        CheckResult::Unsat}));
+}
+
 TEST(Incremental, CegisBitIdenticalToFreshPath)
 {
     // The acceptance gate in miniature: the incremental CEGIS session

@@ -106,6 +106,29 @@ TEST(ObsJson, RejectsMalformed)
     EXPECT_NE(err.find("offset"), std::string::npos);
 }
 
+TEST(ObsJson, RejectsNestingPastTheDepthLimit)
+{
+    // 512 levels parse; the 513th opener is a located error, and
+    // 300k levels (once a stack overflow) are too.
+    Value v;
+    std::string err;
+    ASSERT_TRUE(Value::parse(std::string(512, '[') + std::string(512, ']'),
+                             v, &err))
+        << err;
+    for (const std::string &text :
+         {std::string(513, '[') + std::string(513, ']'),
+          std::string(300000, '[')}) {
+        EXPECT_FALSE(Value::parse(text, v, &err));
+        EXPECT_EQ(err, "json error at offset 512: nesting too deep");
+    }
+    // Objects count too: each {"k":[ opens two levels in six bytes.
+    std::string mixed;
+    for (int i = 0; i < 300; i++)
+        mixed += "{\"k\":[";
+    EXPECT_FALSE(Value::parse(mixed, v, &err));
+    EXPECT_EQ(err, "json error at offset 1536: nesting too deep");
+}
+
 TEST(ObsJson, DumpParseRoundTrip)
 {
     Value v = Value::object();

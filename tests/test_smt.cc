@@ -10,6 +10,7 @@
 
 #include <random>
 
+#include "smt/bitblast.h"
 #include "smt/solver.h"
 #include "smt/term.h"
 
@@ -232,11 +233,112 @@ TEST_P(SmtBlastDifferential, BlasterAgreesWithEvalTerm)
         EXPECT_EQ(checkSat(tt, {pin_a, pin_b, match}), CheckResult::Sat);
         EXPECT_EQ(checkSat(tt, {pin_a, pin_b, tt.mkNot(match)}),
                   CheckResult::Unsat);
+
+        // A DAG that uses one subterm under both polarities, so the
+        // gate table serves the same gates to both edges.
+        TermRef sub = randomTerm(tt, rng, {a, b}, 3);
+        TermRef shared =
+            randomTerm(tt, rng, {a, b, sub, tt.mkNot(sub)}, 4);
+        TermRef both = tt.mkXor(shared, tt.mkAnd(sub, tt.mkNot(shared)));
+        for (TermRef u : {shared, both}) {
+            TermRef m = tt.mkEq(u, tt.constant(evalTerm(tt, u, asg)));
+            EXPECT_EQ(checkSat(tt, {pin_a, pin_b, m}), CheckResult::Sat);
+            EXPECT_EQ(checkSat(tt, {pin_a, pin_b, tt.mkNot(m)}),
+                      CheckResult::Unsat);
+        }
     }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SmtBlastDifferential,
                          ::testing::Range(100, 112));
+
+TEST_F(SmtTest, StrashSharesOneAndGate)
+{
+    TermRef a = tt.freshVar("a", 1);
+    TermRef b = tt.freshVar("b", 1);
+    sat::Solver solver;
+    BitBlaster bb(tt, solver);
+    sat::Lit l = bb.blast(tt.mkAnd(a, b))[0];
+    int vars = solver.numVars();
+    EXPECT_EQ(bb.blast(tt.mkAnd(b, a))[0], l);
+    EXPECT_EQ(bb.blast(tt.mkNot(tt.mkOr(tt.mkNot(a), tt.mkNot(b))))[0], l);
+    // Reaches gAnd with its inputs the other way round.
+    EXPECT_EQ(bb.blast(tt.mkIte(b, a, tt.falseTerm()))[0], l);
+    EXPECT_EQ(solver.numVars(), vars);
+    EXPECT_EQ(bb.stats().gates, 1u);
+}
+
+TEST_F(SmtTest, StrashSharesXorUnderComplementedInputs)
+{
+    TermRef a = tt.freshVar("a", 4);
+    TermRef b = tt.freshVar("b", 4);
+    sat::Solver solver;
+    BitBlaster bb(tt, solver);
+    std::vector<sat::Lit> x = bb.blast(tt.mkXor(a, b));
+    int vars = solver.numVars();
+    std::vector<sat::Lit> na = bb.blast(tt.mkXor(tt.mkNot(a), b));
+    std::vector<sat::Lit> nb = bb.blast(tt.mkXor(a, tt.mkNot(b)));
+    std::vector<sat::Lit> nn =
+        bb.blast(tt.mkXor(tt.mkNot(a), tt.mkNot(b)));
+    for (int i = 0; i < 4; i++) {
+        EXPECT_EQ(na[i], ~x[i]) << i;
+        EXPECT_EQ(nb[i], ~x[i]) << i;
+        EXPECT_EQ(nn[i], x[i]) << i;
+    }
+    EXPECT_EQ(solver.numVars(), vars);
+    EXPECT_EQ(bb.stats().gates, 4u);
+}
+
+TEST_F(SmtTest, NativeMuxTruthTable)
+{
+    sat::Solver solver;
+    sat::Cnf cnf;
+    solver.setCaptureCnf(&cnf);
+    BitBlaster bb(tt, solver);
+    sat::Lit c(solver.newVar(), false), t(solver.newVar(), false),
+        e(solver.newVar(), false);
+    size_t clauses = cnf.clauses.size();
+    sat::Lit m = bb.gMux(c, t, e);
+    EXPECT_EQ(solver.numVars(), m.var() + 1);
+    EXPECT_EQ(cnf.clauses.size(), clauses + 6);
+    // Normalised forms of the same mux reuse its gate.
+    EXPECT_EQ(bb.gMux(~c, e, t), m);
+    EXPECT_EQ(bb.gMux(c, ~t, ~e), ~m);
+    EXPECT_EQ(bb.stats().gates, 1u);
+
+    // Each mux, degenerate forms included, against c ? t : e on all
+    // eight rows: the row forces the output, and the opposite output
+    // is refuted.
+    sat::Lit one = bb.trueLit();
+    struct Case
+    {
+        sat::Lit t, e;
+    };
+    const Case cases[] = {{t, e}, {~t, e},  {t, ~t}, {one, e}, {~one, e},
+                          {t, one}, {t, ~one}, {c, e},  {~c, e},  {t, c},
+                          {t, ~c}};
+    for (const Case &k : cases) {
+        sat::Lit out = bb.gMux(c, k.t, k.e);
+        for (int row = 0; row < 8; row++) {
+            std::vector<sat::Lit> pin = {c, t, e};
+            for (int i = 0; i < 3; i++) {
+                if (!(row >> i & 1))
+                    pin[i] = ~pin[i];
+            }
+            auto value = [&](sat::Lit l) {
+                if (l.var() == one.var())
+                    return !l.negated();
+                int i = l.var() - c.var();
+                return bool(row >> i & 1) != l.negated();
+            };
+            bool want = value(c) ? value(k.t) : value(k.e);
+            pin.push_back(want ? out : ~out);
+            EXPECT_EQ(solver.solve(pin), sat::Result::Sat) << row;
+            pin.back() = ~pin.back();
+            EXPECT_EQ(solver.solve(pin), sat::Result::Unsat) << row;
+        }
+    }
+}
 
 TEST_F(SmtTest, BlastWideOps)
 {

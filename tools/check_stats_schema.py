@@ -478,6 +478,32 @@ def check_fuzz_stats(doc):
              % counters["fuzz.divergences"])
 
 
+BITBLAST_COUNTERS = ("smt.bitblast.gates", "smt.bitblast.strash_hits")
+
+
+def check_bitblast_counters(doc):
+    """Every run that bit-blasts books the gate-table counters."""
+    for name in BITBLAST_COUNTERS:
+        if name not in doc["counters"]:
+            fail("$/counters", "run missing counter %r" % name)
+
+
+def check_bitblast_accounting(doc):
+    """Every gate the blaster makes or reuses is booked on an
+    smt.bitblast span: the spans' gates / strash_hits attrs add up to
+    the counters."""
+    for name in BITBLAST_COUNTERS:
+        attr = name[len("smt.bitblast."):]
+        value = doc["counters"].get(name, 0)
+        booked = sum(span.get("attrs", {}).get(attr, 0)
+                     for span, _ in iter_spans(doc["spans"], "$/spans")
+                     if span["name"] == "smt.bitblast")
+        if booked != value:
+            fail("$/counters/%s" % name,
+                 "smt.bitblast spans book %s=%d, counter says %d"
+                 % (attr, booked, value))
+
+
 def check_query_histograms(doc):
     """A v2 synthesis run records the per-query histograms: one
     smt.query_ns / smt.query_conflicts sample per SMT check, one
@@ -540,13 +566,13 @@ def main():
                       "sat.preprocess.rounds",
                       "sat.preprocess.vars_eliminated"],
                      [check_query_histograms,
-                      check_preprocess_stats]))
+                      check_preprocess_stats, check_bitblast_counters]))
         runs.append((["synth", "accumulator", "--no-incremental"],
                      ["cegis", "cegis.iter", "smt.checkSat",
                       "sat.solve", "spec.compile"],
                      ["sat.propagations", "cegis.iterations"],
                      [check_query_histograms,
-                      check_preprocess_stats]))
+                      check_preprocess_stats, check_bitblast_counters]))
         # Verification re-compiles every instruction's conditions
         # against the completed design, inline and on two workers.
         for jobs in ([], ["--jobs", "2"]):
@@ -555,7 +581,16 @@ def main():
                           "verify.instr", "spec.compile",
                           "smt.checkSat"],
                          ["verify.designs"],
-                         [check_verify_instr_spans]))
+                         [check_verify_instr_spans,
+                          check_bitblast_counters]))
+        # A real design through synthesis (incremental sessions) and
+        # the verification pass (one-shot checkSat): the gate table
+        # both makes and reuses gates (nonzero counters), and its spans
+        # account for all of it.
+        runs.append((["verify", "rv32i-2stage"],
+                     ["verify.instr", "smt.bitblast", "smt.inc.addGroup"],
+                     ["verify.designs"] + list(BITBLAST_COUNTERS),
+                     [check_bitblast_accounting]))
         # The raw path must still behave like the seed: search does
         # real work (nonzero conflicts/decisions) and the preprocess
         # counter family stays silent.
@@ -565,16 +600,16 @@ def main():
                      ["sat.conflicts", "sat.propagations",
                       "sat.decisions", "cegis.iterations"],
                      [check_query_histograms,
-                      check_no_preprocess_stats]))
+                      check_no_preprocess_stats, check_bitblast_counters]))
         runs.append((["synth", "accumulator", "--check-proofs"],
                      ["cegis", "smt.checkSat"],
                      [],
-                     [check_proof_coverage]))
+                     [check_proof_coverage, check_bitblast_counters]))
         runs.append((["synth", "accumulator", "--profile-sat"],
                      ["cegis", "smt.checkSat", "sat.solve"],
                      ["sat.phase.propagate.calls",
                       "sat.phase.decide.calls"],
-                     []))
+                     [check_bitblast_counters]))
         # Lazy Ackermann (the default) on a memory-bearing design:
         # the refinement loop must actually run (nonzero lemmas,
         # rounds, scans) and its accounting must be consistent.
@@ -585,7 +620,7 @@ def main():
                       "smt.ackermann.scans",
                       "smt.ackermann.pair_bound",
                       "smt.ackermann_constraints"],
-                     [check_ackermann_stats]))
+                     [check_ackermann_stats, check_bitblast_counters]))
         # The eager escape hatch: full pair set up front, lazy
         # machinery silent.
         runs.append((["synth", "alu-machine", "--eager-ackermann"],
@@ -594,7 +629,8 @@ def main():
                      ["smt.ackermann_constraints",
                       "smt.ackermann.pair_bound"],
                      [check_ackermann_stats,
-                      check_eager_ackermann_stats]))
+                      check_eager_ackermann_stats,
+                      check_bitblast_counters]))
         runs.append((["lint", "accumulator"],
                      ["lint.run", "lint.design", "lint.smt",
                       "lint.cnf", "lint.netlist"],
@@ -607,7 +643,7 @@ def main():
         runs.append((["fuzz", "--seed", "1", "--runs", "10"],
                      ["cegis", "smt.checkSat", "sat.solve"],
                      ["fuzz.runs", "synth.runs", "symeval.runs"],
-                     [check_fuzz_stats]))
+                     [check_fuzz_stats, check_bitblast_counters]))
         # A serve batch with a deliberate duplicate: the repeat job
         # must be answered from the content-addressed cache (nonzero
         # hits AND misses), every request gets its own serve.request
@@ -618,7 +654,7 @@ def main():
                       "serve.cache.hits", "serve.cache.misses",
                       "serve.cache.insertions",
                       "serve.sessions.created"],
-                     [check_serve_stats]))
+                     [check_serve_stats, check_bitblast_counters]))
     elif args.file:
         runs.append((None, [], [], []))
     else:
