@@ -280,14 +280,18 @@ class Parser
     primary(Design &d)
     {
         Token t = lex.next();
+        Lexer::Nest nest(lex, t);
         if (t.kind == Token::BvConst)
             return d.lit(t.bvValue);
-        if (t.kind == Token::Op && t.text == "~")
-            return checked(
-                t, [&] { return d.opNot(postfix(d, primary(d))); });
-        if (t.kind == Token::Op && t.text == "-")
-            return checked(
-                t, [&] { return d.opNeg(postfix(d, primary(d))); });
+        if (t.kind == Token::Op && (t.text == "~" || t.text == "-")) {
+            // The operand is parsed outside checked(): its own errors
+            // are located already and must not be re-wrapped once per
+            // enclosing operator.
+            ExprRef a = postfix(d, primary(d));
+            return checked(t, [&] {
+                return t.text == "~" ? d.opNot(a) : d.opNeg(a);
+            });
+        }
         if (t.kind == Token::Punct && t.text == "(") {
             ExprRef a = expr(d);
             Token op = lex.next();

@@ -75,55 +75,83 @@ statsLine(const Server &server)
 }
 
 /**
+ * Answer one request line; returns true when it asked for shutdown.
+ */
+bool
+handleLine(Server &server, int fd, const std::string &line)
+{
+    json::Value doc;
+    std::string perr;
+    if (!json::Value::parse(line, doc, &perr)) {
+        writeLine(fd, errorLine("parse error: " + perr));
+        return false;
+    }
+    if (const json::Value *cmd = doc.find("cmd")) {
+        if (cmd->isString() && cmd->asString() == "shutdown") {
+            json::Value ok = json::Value::object();
+            ok.set("status", std::string("ok"));
+            writeLine(fd, ok);
+            return true;
+        }
+        if (cmd->isString() && cmd->asString() == "stats")
+            writeLine(fd, statsLine(server));
+        else
+            writeLine(fd, errorLine("unknown cmd"));
+        return false;
+    }
+    JobRequest req;
+    std::string rerr;
+    if (!parseJobRequest(doc, req, rerr)) {
+        writeLine(fd, errorLine(rerr));
+        return false;
+    }
+    std::future<JobResult> fut;
+    if (!server.trySubmit(std::move(req), &fut)) {
+        writeLine(fd, errorLine("queue full"));
+        return false;
+    }
+    writeLine(fd, resultToJson(fut.get()));
+    return false;
+}
+
+/**
  * Handle one connection; returns true when the client requested
  * shutdown. Lines execute strictly in order — the socket path trades
  * the batch runner's pipelining for a protocol simple enough to
- * drive from `nc -U`.
+ * drive from `nc -U`. A line past kMaxRequestLineBytes gets one error
+ * reply as soon as it overflows, and its bytes are dropped up to the
+ * next newline.
  */
 bool
 handleConnection(Server &server, int fd)
 {
+    const std::string tooLong = "line longer than " +
+                                std::to_string(kMaxRequestLineBytes) +
+                                " bytes";
     std::string buf;
+    bool skipping = false; // inside an oversized line
     char chunk[4096];
     for (;;) {
-        size_t nl;
-        while ((nl = buf.find('\n')) != std::string::npos) {
-            std::string line = buf.substr(0, nl);
-            buf.erase(0, nl + 1);
-            if (line.empty())
-                continue;
-            json::Value doc;
-            std::string perr;
-            if (!json::Value::parse(line, doc, &perr)) {
-                writeLine(fd, errorLine("parse error: " + perr));
-                continue;
+        // Consume every complete line, then drop them in one erase.
+        size_t start = 0;
+        for (size_t nl; (nl = buf.find('\n', start)) != std::string::npos;
+             start = nl + 1) {
+            size_t len = nl - start;
+            if (skipping) {
+                skipping = false;
+            } else if (len > kMaxRequestLineBytes) {
+                writeLine(fd, errorLine(tooLong));
+            } else if (len != 0 &&
+                       handleLine(server, fd, buf.substr(start, len))) {
+                return true;
             }
-            if (const json::Value *cmd = doc.find("cmd")) {
-                if (cmd->isString() && cmd->asString() == "shutdown") {
-                    json::Value ok = json::Value::object();
-                    ok.set("status", std::string("ok"));
-                    writeLine(fd, ok);
-                    return true;
-                }
-                if (cmd->isString() && cmd->asString() == "stats") {
-                    writeLine(fd, statsLine(server));
-                    continue;
-                }
-                writeLine(fd, errorLine("unknown cmd"));
-                continue;
-            }
-            JobRequest req;
-            std::string rerr;
-            if (!parseJobRequest(doc, req, rerr)) {
-                writeLine(fd, errorLine(rerr));
-                continue;
-            }
-            std::future<JobResult> fut;
-            if (!server.trySubmit(std::move(req), &fut)) {
-                writeLine(fd, errorLine("queue full"));
-                continue;
-            }
-            writeLine(fd, resultToJson(fut.get()));
+        }
+        buf.erase(0, start);
+        if (buf.size() > kMaxRequestLineBytes) {
+            if (!skipping)
+                writeLine(fd, errorLine(tooLong));
+            skipping = true;
+            buf.clear();
         }
         ssize_t n = ::read(fd, chunk, sizeof(chunk));
         if (n < 0 && errno == EINTR)

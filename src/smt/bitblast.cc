@@ -193,10 +193,12 @@ Lit
 BitBlaster::gIte(Lit c, Lit t, Lit e)
 {
     // Term-level ite stays two hashed ANDs under an OR rather than
-    // the native mux. Measured on bench_smoke's serve batch: the
-    // native encoding here raised conflicts from 208 to 326, past the
-    // suite's 25% counter gate, while the native mux in shifters and
-    // table lookups (gMux) passes it. The split is deliberate.
+    // the native mux. Measured on the golden serve-batch run
+    // (`serve --batch tools/serve_smoke_jobs.json` in
+    // tests/stats_golden.json): the native encoding here raised
+    // conflicts from 208 to 326, while this split, with the native
+    // mux kept to shifters and table lookups (gMux), gives 183. The
+    // split is deliberate.
     if (isTrueLit(c))
         return t;
     if (isFalseLit(c))

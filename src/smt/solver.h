@@ -96,7 +96,7 @@ struct SolverPolicy
      * default lemmas-on-demand refinement loop (DESIGN.md §14).
      * Verdicts and (lexmin-canonicalized) hole models are identical
      * either way; the escape hatch exists for A/B comparison
-     * (`owl synth --eager-ackermann`, bench_ackermann).
+     * (`owl synth --eager-ackermann`).
      */
     bool eagerAckermann = false;
 

@@ -425,18 +425,18 @@ class SpecParser
     primary(Ila &m)
     {
         Token t = lex.next();
+        Lexer::Nest nest(lex, t);
         if (t.kind == Token::BvConst)
             return m.ctx().makeConst(t.bvValue);
-        if (t.kind == Token::Op && t.text == "~")
+        if (t.kind == Token::Op && (t.text == "~" || t.text == "-")) {
+            // As in the Oyster parser: the operand's errors are located
+            // already and must not be re-wrapped per operator.
+            IlaExpr a = postfix(m, primary(m));
             return checked(t, [&] {
-                return m.ctx().makeUnop(IlaOp::Not,
-                                        postfix(m, primary(m)));
+                return m.ctx().makeUnop(
+                    t.text == "~" ? IlaOp::Not : IlaOp::Neg, a);
             });
-        if (t.kind == Token::Op && t.text == "-")
-            return checked(t, [&] {
-                return m.ctx().makeUnop(IlaOp::Neg,
-                                        postfix(m, primary(m)));
-            });
+        }
         if (t.kind == Token::Punct && t.text == "(") {
             IlaExpr a = expr(m);
             Token op = lex.next();

@@ -59,6 +59,18 @@ struct Token
 };
 
 /**
+ * Deepest expression nesting the Oyster and ILA-spec parsers accept.
+ * Both recurse a few stack frames per level, so deeper input (say
+ * 200k '(' or '~') ends in a located "nesting too deep" error instead
+ * of a stack overflow. The deepest printed registry design, example or
+ * fuzz bundle nests 52 levels (aes). The walks after parsing recurse
+ * too: under AddressSanitizer, netlist compilation of a `~` chain
+ * overflows an 8 MiB stack at about 900 levels, so the cap stays well
+ * below that.
+ */
+constexpr int kMaxExprDepth = 512;
+
+/**
  * The lexer. peek()/peek2() give two tokens of lookahead (needed to
  * disambiguate context-sensitive words like `reset` and `deps` from
  * ordinary identifiers in statement position).
@@ -106,9 +118,28 @@ class Lexer
                   t.col, ": ", msg, " (near '", t.display(), "')");
     }
 
+    /**
+     * One level of expression nesting, opened at token `t` for the
+     * guard's lifetime. Opening level kMaxExprDepth + 1 fails at `t`.
+     */
+    struct Nest
+    {
+        Nest(Lexer &lex, const Token &t) : depth(lex.depth)
+        {
+            if (depth == kMaxExprDepth)
+                lex.fail("nesting too deep", t);
+            depth++;
+        }
+        ~Nest() { depth--; }
+        Nest(const Nest &) = delete;
+        Nest &operator=(const Nest &) = delete;
+        int &depth;
+    };
+
   private:
     const std::string &s;
     std::string ctx;
+    int depth = 0; ///< open Nest guards
     size_t pos = 0;
     int line = 1;
     int lineStart = 0; ///< offset of the current line's first char

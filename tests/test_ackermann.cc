@@ -7,16 +7,21 @@
  * IncrementalStats, lemma permanence across incremental checks, the
  * cross-query AckermannSeeds cache, and synthesis-level hole
  * bit-identity across all four mode corners (lazy/eager x
- * fresh/incremental).
+ * fresh/incremental), and lazy vs eager on the other memory-bearing
+ * registry designs.
  */
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <random>
+#include <string>
 
 #include "core/synthesis.h"
 #include "designs/alu_machine.h"
 #include "designs/case_study.h"
+#include "designs/registry.h"
+#include "obs/obs.h"
 #include "smt/incremental.h"
 #include "smt/solver.h"
 #include "smt/term.h"
@@ -68,6 +73,23 @@ expectCongruenceClean(const TermTable &tt, const Model &model,
                 << "reads " << i << " and " << j
                 << " disagree at equal address";
         }
+    }
+}
+
+/** Per-instruction hole values must match between two synthesis runs. */
+void
+expectSameHoles(const SynthesisResult &a, const SynthesisResult &b,
+                const std::string &what)
+{
+    ASSERT_EQ(a.perInstr.size(), b.perInstr.size()) << what;
+    for (size_t i = 0; i < a.perInstr.size(); i++) {
+        const auto &[instr, holes] = a.perInstr[i];
+        const auto &[binstr, bholes] = b.perInstr[i];
+        ASSERT_EQ(instr, binstr) << what;
+        ASSERT_EQ(holes.size(), bholes.size()) << what << " " << instr;
+        for (const auto &[hole, v] : holes)
+            EXPECT_TRUE(v == bholes.at(hole))
+                << what << " " << instr << "." << hole;
     }
 }
 
@@ -364,18 +386,35 @@ TEST(Ackermann, SynthesisHolesBitIdenticalAcrossModes)
             runs.push_back({eager ? "eager" : "lazy", std::move(r)});
         }
     }
-    const SynthesisResult &base = runs[0].r;
-    for (size_t m = 1; m < runs.size(); m++) {
-        const SynthesisResult &other = runs[m].r;
-        ASSERT_EQ(base.perInstr.size(), other.perInstr.size());
-        for (size_t i = 0; i < base.perInstr.size(); i++) {
-            const auto &[instr, holes] = base.perInstr[i];
-            const auto &[oinstr, oholes] = other.perInstr[i];
-            ASSERT_EQ(instr, oinstr);
-            ASSERT_EQ(holes.size(), oholes.size()) << instr;
-            for (const auto &[name, v] : holes)
-                EXPECT_TRUE(v == oholes.at(name))
-                    << "mode " << m << " " << instr << "." << name;
+    for (size_t m = 1; m < runs.size(); m++)
+        expectSameHoles(runs[0].r, runs[m].r,
+                        "alu-machine mode " + std::to_string(m));
+
+    // The other memory-bearing registry designs, lazy vs eager. Lazy
+    // refinement must also pay for itself there: it asserts strictly
+    // fewer congruences than the eager pair set.
+    obs::setEnabled(true);
+    obs::Registry &reg = obs::Registry::instance();
+    for (const char *name : {"rv32i", "rv32i-2stage", "crypto-core"}) {
+        SynthesisResult r[2];
+        uint64_t congruences[2];
+        for (bool eager : {false, true}) {
+            std::optional<designs::CaseStudy> cs =
+                designs::makeCaseStudy(name);
+            ASSERT_TRUE(cs) << name;
+            SynthesisOptions o;
+            o.solver.eagerAckermann = eager;
+            uint64_t before = reg.counterValue("smt.ackermann_constraints");
+            r[eager] = synthesizeControl(cs->sketch, cs->spec, cs->alpha, o);
+            congruences[eager] =
+                reg.counterValue("smt.ackermann_constraints") - before;
+            ASSERT_EQ(r[eager].status, SynthStatus::Ok)
+                << name << (eager ? " eager: " : " lazy: ")
+                << r[eager].failedInstr;
+        }
+        expectSameHoles(r[0], r[1], std::string(name) + " lazy/eager");
+        if (obs::enabled()) {
+            EXPECT_LT(congruences[0], congruences[1]) << name;
         }
     }
 }

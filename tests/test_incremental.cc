@@ -3,16 +3,20 @@
  * Tests for owl::smt::IncrementalContext (persistent bit-blast cache,
  * activation-literal groups, assumption probing, session proofs)
  * and for the incremental CEGIS path built on it: bit-identical hole
- * values against the fresh per-iteration path, and back-to-back
+ * values against the fresh per-iteration path and the path without
+ * CNF preprocessing on five registry designs, and back-to-back
  * in-process synthesis sessions (the ASan double-session check).
  */
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "core/synthesis.h"
 #include "designs/accumulator.h"
 #include "designs/case_study.h"
-#include "designs/riscv_single_cycle.h"
+#include "designs/registry.h"
+#include "obs/obs.h"
 #include "smt/incremental.h"
 #include "smt/term.h"
 
@@ -204,34 +208,52 @@ TEST(Incremental, RebuildsStrashGatesTheSimplifierEliminated)
 
 TEST(Incremental, CegisBitIdenticalToFreshPath)
 {
-    // The acceptance gate in miniature: the incremental CEGIS session
-    // must land on exactly the hole values of the fresh
-    // solver-per-iteration path (both are pinned to the lexmin model
-    // of each synth query, which is a property of the formula alone).
-    designs::CaseStudy inc =
-        designs::makeRiscvSingleCycle(designs::RiscvVariant::RV32I);
-    designs::CaseStudy fresh =
-        designs::makeRiscvSingleCycle(designs::RiscvVariant::RV32I);
-    SynthesisOptions io;
-    io.incremental = true;
-    SynthesisOptions fo;
-    fo.incremental = false;
-    SynthesisResult ri =
-        synthesizeControl(inc.sketch, inc.spec, inc.alpha, io);
-    SynthesisResult rf =
-        synthesizeControl(fresh.sketch, fresh.spec, fresh.alpha, fo);
-    ASSERT_EQ(ri.status, SynthStatus::Ok) << ri.failedInstr;
-    ASSERT_EQ(rf.status, SynthStatus::Ok) << rf.failedInstr;
-    EXPECT_EQ(ri.cegisIterations, rf.cegisIterations);
-    ASSERT_EQ(ri.perInstr.size(), rf.perInstr.size());
-    for (size_t i = 0; i < ri.perInstr.size(); i++) {
-        const auto &[instr, holes] = ri.perInstr[i];
-        const auto &[finstr, fholes] = rf.perInstr[i];
-        ASSERT_EQ(instr, finstr);
-        ASSERT_EQ(holes.size(), fholes.size()) << instr;
-        for (const auto &[name, v] : holes)
-            EXPECT_TRUE(v == fholes.at(name))
-                << instr << "." << name;
+    // The acceptance gate in miniature, on every registry design the
+    // paper's tables use: the incremental CEGIS session must land on
+    // exactly the hole values of the fresh solver-per-iteration path,
+    // and of the raw path without CNF preprocessing (all are pinned to
+    // the lexmin model of each synth query, which is a property of the
+    // formula alone). The default run must also really simplify.
+    obs::setEnabled(true);
+    obs::Registry &reg = obs::Registry::instance();
+    for (const char *name : {"rv32i", "accumulator", "alu-machine",
+                             "rv32i-2stage", "crypto-core"}) {
+        SCOPED_TRACE(name);
+        auto run = [&](bool incremental, bool preprocess) {
+            std::optional<designs::CaseStudy> cs =
+                designs::makeCaseStudy(name);
+            SynthesisOptions o;
+            o.incremental = incremental;
+            o.solver.preprocess = preprocess;
+            return synthesizeControl(cs->sketch, cs->spec, cs->alpha, o);
+        };
+        uint64_t eliminated =
+            reg.counterValue("sat.preprocess.vars_eliminated");
+        SynthesisResult ri = run(true, true);
+        eliminated =
+            reg.counterValue("sat.preprocess.vars_eliminated") - eliminated;
+        if (obs::enabled()) {
+            EXPECT_GT(eliminated, 0u);
+        }
+        SynthesisResult rf = run(false, true);
+        SynthesisResult rr = run(true, false);
+        ASSERT_EQ(ri.status, SynthStatus::Ok) << ri.failedInstr;
+        ASSERT_EQ(rf.status, SynthStatus::Ok) << rf.failedInstr;
+        ASSERT_EQ(rr.status, SynthStatus::Ok) << rr.failedInstr;
+        EXPECT_EQ(ri.cegisIterations, rf.cegisIterations);
+        for (const SynthesisResult *other : {&rf, &rr}) {
+            ASSERT_EQ(ri.perInstr.size(), other->perInstr.size());
+            for (size_t i = 0; i < ri.perInstr.size(); i++) {
+                const auto &[instr, holes] = ri.perInstr[i];
+                const auto &[oinstr, oholes] = other->perInstr[i];
+                ASSERT_EQ(instr, oinstr);
+                ASSERT_EQ(holes.size(), oholes.size()) << instr;
+                for (const auto &[hole, v] : holes)
+                    EXPECT_TRUE(v == oholes.at(hole))
+                        << (other == &rf ? "fresh " : "raw ") << instr
+                        << "." << hole;
+            }
+        }
     }
 }
 

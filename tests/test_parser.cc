@@ -3,7 +3,9 @@
  * Tests for the Oyster text parser: round trips (print -> parse ->
  * print is a fixpoint) across every case-study sketch, behavioural
  * equivalence of the reparsed design, file-style sketches with
- * comments, and parse-error diagnostics.
+ * comments, and parse-error diagnostics, including a located error
+ * (not a stack overflow) for nesting past text::kMaxExprDepth in both
+ * the Oyster and the ILA-spec parser.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +21,8 @@
 #include "oyster/interp.h"
 #include "oyster/parser.h"
 #include "oyster/printer.h"
+#include "text/ila_text.h"
+#include "text/lexer.h"
 
 using namespace owl;
 using namespace owl::oyster;
@@ -310,4 +314,83 @@ design ctxwords
         "design d\n  hole h 2 deps()\n  wire w 2\n  w := h");
     EXPECT_TRUE(h.decl("h").holeDeps.empty());
     expectRoundTrip(h);
+}
+
+namespace
+{
+
+/** The diagnostic of a failing spec parse. */
+std::string
+specFailure(const std::string &text)
+{
+    try {
+        text::parseIla(text);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    ADD_FAILURE() << "expected a spec parse error";
+    return "";
+}
+
+/** A one-instruction spec whose update (line 7) is `expr`. */
+std::string
+specWithUpdate(const std::string &expr)
+{
+    return "spec s\n  input op 2\n  state count 8\n  fetch op\n"
+           "  instr up\n    decode (op == 2'h1)\n    update count " +
+           expr + "\n";
+}
+
+/** The message names the limit once, at `line`, not re-wrapped. */
+void
+expectTooDeep(const std::string &m, const std::string &line)
+{
+    EXPECT_NE(m.find("nesting too deep"), std::string::npos) << m;
+    EXPECT_NE(m.find(line + ", column"), std::string::npos) << m;
+    EXPECT_EQ(m.find("parse error"), m.rfind("parse error")) << m;
+}
+
+} // namespace
+
+TEST(OysterParser, DeepNestingIsALocatedError)
+{
+    // 200k levels used to overflow the stack (SIGSEGV). Each form
+    // recurses through primary(): grouping parentheses, and the two
+    // prefix operators, whose operand errors are not re-wrapped per
+    // level.
+    const std::string head = "design d\n  input x 8\n  wire w 8\n  w := ";
+    const size_t deep = 200000;
+    expectTooDeep(parseFailure(head + std::string(deep, '(') + "x" +
+                               std::string(deep, ')')),
+                  "line 4");
+    expectTooDeep(parseFailure(head + std::string(deep, '~') + "x"),
+                  "line 4");
+    expectTooDeep(parseFailure(head + std::string(deep, '-') + "x"),
+                  "line 4");
+
+    // The limit counts primary() levels: kMaxExprDepth - 1 operators
+    // over a leaf parse, one more does not.
+    const size_t ops = text::kMaxExprDepth - 1;
+    Design d = parseOyster(head + std::string(ops, '~') + "x");
+    EXPECT_EQ(d.decl("w").width, 8);
+    expectTooDeep(parseFailure(head + std::string(ops + 1, '~') + "x"),
+                  "line 4");
+}
+
+TEST(SpecParser, DeepNestingIsALocatedError)
+{
+    const size_t deep = 200000;
+    expectTooDeep(specFailure(specWithUpdate(std::string(deep, '(') +
+                                             "count" +
+                                             std::string(deep, ')'))),
+                  "line 7");
+    expectTooDeep(
+        specFailure(specWithUpdate(std::string(deep, '~') + "count")),
+        "line 7");
+    const size_t ops = text::kMaxExprDepth - 1;
+    EXPECT_NO_THROW(
+        text::parseIla(specWithUpdate(std::string(ops, '-') + "count")));
+    expectTooDeep(
+        specFailure(specWithUpdate(std::string(ops + 1, '-') + "count")),
+        "line 7");
 }

@@ -5,13 +5,11 @@
  * cached-vs-fresh bit-identity), design/instruction fingerprints, the
  * warm session pool, the JSON request/result wire format, per-request
  * budgets, concurrent batch behavior (the TSan target), and the
- * NDJSON unix-socket front end.
+ * NDJSON unix-socket front end and its request-line cap.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <initializer_list>
@@ -419,31 +417,34 @@ TEST(ServeBudget, RequestBudgetProducesTimeoutStatus)
 
 TEST(ServeServer, SecondIdenticalJobIsAllCacheHitsAndBitIdentical)
 {
-    Server server;
-    std::vector<JobResult> results =
-        server.runBatch({job("accumulator"), job("accumulator")});
-    ASSERT_EQ(results.size(), 2u);
-    ASSERT_EQ(results[0].status, "ok");
-    ASSERT_EQ(results[1].status, "ok");
+    for (const char *design : {"accumulator", "rv32i-2stage"}) {
+        SCOPED_TRACE(design);
+        Server server;
+        std::vector<JobResult> results =
+            server.runBatch({job(design), job(design)});
+        ASSERT_EQ(results.size(), 2u);
+        ASSERT_EQ(results[0].status, "ok");
+        ASSERT_EQ(results[1].status, "ok");
 
-    size_t n_instr = results[0].holes.size();
-    EXPECT_GT(n_instr, 0u);
-    EXPECT_EQ(results[0].cacheHits, 0u);
-    EXPECT_EQ(results[0].cacheMisses, n_instr);
-    EXPECT_EQ(results[1].cacheHits, n_instr);
-    EXPECT_EQ(results[1].cacheMisses, 0u);
-    EXPECT_EQ(results[1].iterations, 0);
+        size_t n_instr = results[0].holes.size();
+        EXPECT_GT(n_instr, 0u);
+        EXPECT_EQ(results[0].cacheHits, 0u);
+        EXPECT_EQ(results[0].cacheMisses, n_instr);
+        EXPECT_EQ(results[1].cacheHits, n_instr);
+        EXPECT_EQ(results[1].cacheMisses, 0u);
+        EXPECT_EQ(results[1].iterations, 0);
 
-    EXPECT_EQ(holesString(results[0].holes),
-              holesString(results[1].holes));
+        EXPECT_EQ(holesString(results[0].holes),
+                  holesString(results[1].holes));
 
-    // And the cached result matches a from-scratch library run.
-    auto cs = designs::makeCaseStudy("accumulator");
-    synth::SynthesisResult fresh = synth::synthesizeControl(
-        cs->sketch, cs->spec, cs->alpha, {});
-    ASSERT_EQ(fresh.status, synth::SynthStatus::Ok);
-    EXPECT_EQ(holesString(results[1].holes),
-              holesString(fresh.perInstr));
+        // And the cached result matches a from-scratch library run.
+        auto cs = designs::makeCaseStudy(design);
+        synth::SynthesisResult fresh = synth::synthesizeControl(
+            cs->sketch, cs->spec, cs->alpha, {});
+        ASSERT_EQ(fresh.status, synth::SynthStatus::Ok);
+        EXPECT_EQ(holesString(results[1].holes),
+                  holesString(fresh.perInstr));
+    }
 }
 
 TEST(ServeServer, WarmSessionsKickInWhenCacheEvicts)
@@ -573,19 +574,23 @@ socketRoundTrip(const std::string &path,
     return out;
 }
 
-} // namespace
-
-TEST(ServeSocket, NdjsonRequestsStatsAndShutdown)
+/**
+ * Serve `lines` over a fresh socket with a fresh server, one
+ * connection, and return the parsed response lines. Sets *skip when
+ * the environment has no unix sockets.
+ */
+std::vector<obs::json::Value>
+serveLines(const std::string &name, const std::vector<std::string> &lines,
+           bool *skip)
 {
-    std::string path = testing::TempDir() + "owl_serve_test.sock";
+    std::vector<obs::json::Value> docs;
+    int probe = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    *skip = probe < 0;
+    if (*skip)
+        return docs;
+    ::close(probe);
+    std::string path = testing::TempDir() + name;
     ::unlink(path.c_str());
-    {
-        // Probe: environments without unix sockets skip, not fail.
-        int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        if (fd < 0)
-            GTEST_SKIP() << "no unix sockets: " << strerror(errno);
-        ::close(fd);
-    }
 
     Server server;
     std::string err;
@@ -593,32 +598,70 @@ TEST(ServeSocket, NdjsonRequestsStatsAndShutdown)
     std::thread listener([&] {
         listen_ok = serveSocket(server, path, &err);
     });
-    std::string reply = socketRoundTrip(
-        path, {R"({"design":"accumulator","id":"s1"})",
-               R"({"design":"accumulator","id":"s2"})",
-               R"({"cmd":"stats"})", R"({"cmd":"shutdown"})"});
+    std::string reply = socketRoundTrip(path, lines);
     listener.join();
     EXPECT_TRUE(listen_ok) << err;
 
-    // Four request lines -> four response lines.
-    ASSERT_EQ(std::count(reply.begin(), reply.end(), '\n'), 4);
-    std::vector<obs::json::Value> docs;
     size_t pos = 0;
     while (pos < reply.size()) {
         size_t nl = reply.find('\n', pos);
         obs::json::Value v;
         std::string perr;
-        ASSERT_TRUE(obs::json::Value::parse(
-            reply.substr(pos, nl - pos), v, &perr))
+        EXPECT_TRUE(obs::json::Value::parse(reply.substr(pos, nl - pos),
+                                            v, &perr))
             << perr;
         docs.push_back(std::move(v));
         pos = nl + 1;
     }
+    return docs;
+}
+
+} // namespace
+
+TEST(ServeSocket, NdjsonRequestsStatsAndShutdown)
+{
+    bool skip;
+    std::vector<obs::json::Value> docs = serveLines(
+        "owl_serve_test.sock",
+        {R"({"design":"accumulator","id":"s1"})",
+         R"({"design":"accumulator","id":"s2"})", R"({"cmd":"stats"})",
+         R"({"cmd":"shutdown"})"},
+        &skip);
+    if (skip)
+        GTEST_SKIP() << "no unix sockets";
+
+    // Four request lines -> four response lines.
+    ASSERT_EQ(docs.size(), 4u);
     EXPECT_EQ(docs[0].find("status")->asString(), "ok");
     EXPECT_EQ(docs[0].find("id")->asString(), "s1");
     EXPECT_EQ(docs[1].find("cache_hits")->asInt(),
               docs[0].find("holes")->size());
     ASSERT_NE(docs[2].find("cache"), nullptr);
     EXPECT_GT(docs[2].find("cache")->find("hits")->asInt(), 0);
+    EXPECT_EQ(docs[3].find("status")->asString(), "ok");
+}
+
+TEST(ServeSocket, OversizedLineIsAnsweredAndTheConnectionKeepsServing)
+{
+    // One line just past the cap, then one far past it (the reader
+    // drops it in pieces), then ordinary requests on the same
+    // connection.
+    bool skip;
+    std::vector<obs::json::Value> docs = serveLines(
+        "owl_serve_long.sock",
+        {std::string(kMaxRequestLineBytes + 1, 'x'),
+         std::string(3 * kMaxRequestLineBytes, ' '), R"({"cmd":"stats"})",
+         R"({"cmd":"shutdown"})"},
+        &skip);
+    if (skip)
+        GTEST_SKIP() << "no unix sockets";
+
+    ASSERT_EQ(docs.size(), 4u);
+    for (int i : {0, 1}) {
+        EXPECT_EQ(docs[i].find("status")->asString(), "bad-request");
+        EXPECT_NE(docs[i].find("error")->asString().find("line longer"),
+                  std::string::npos);
+    }
+    EXPECT_NE(docs[2].find("cache"), nullptr);
     EXPECT_EQ(docs[3].find("status")->asString(), "ok");
 }

@@ -1,20 +1,28 @@
 #!/usr/bin/env python3
-"""Validate owl JSON artifacts against their schemas.
+"""Validate owl stats exports, and pin their solver counters.
 
-Understands three schemas, dispatched on the document's "schema" key:
-  owl.obs.v1    legacy stats exports (counters + span forest + meta)
-  owl.obs.v2    v1 plus histograms, open_spans, and per-span lanes
-  owl.bench.v1  bench trajectory entries (tools/bench_runner.py)
+Understands the owl.obs.v1 (counters + span forest + meta) and
+owl.obs.v2 (v1 plus histograms, open_spans and per-span lanes)
+schemas, dispatched on the document's "schema" key.
 
 Usage:
   check_stats_schema.py FILE [options]
-      Validate an already-emitted stats/bench file.
-  check_stats_schema.py --owl PATH/TO/owl [options]
-      Run `owl synth accumulator --stats-json <tmp>` and validate the
-      result, additionally applying the pipeline acceptance checks
-      (cegis / smt.checkSat / sat.solve spans present, nonzero SAT
-      conflict and propagation counters). This is the form wired into
-      CTest so tier-1 runs catch exporter regressions.
+      Validate an already-emitted stats file (schema only).
+  check_stats_schema.py --owl PATH/TO/owl [--write-golden]
+      Run a fixed list of owl commands with --stats-json (synth,
+      verify, lint, fuzz and serve on small designs) and validate each
+      document: the schema, the spans and counters the run must book,
+      and per-run consistency checks. Then compare every run's tracked
+      counters and histograms (TRACKED_COUNTERS, TRACKED_HISTOGRAMS)
+      exactly against the committed golden, tests/stats_golden.json,
+      keyed by the owl argument list. This is the form wired into CTest
+      (`ctest -R check_stats_schema`). Timing is not checked here;
+      perfbench (BENCHMARK.json) owns it.
+
+      --write-golden re-records the golden from this run instead of
+      comparing against it. Do that only when a change is meant to move
+      the search (a different CNF, a different counterexample order),
+      and say so in the change's notes.
 
 Options:
   --require-span NAME             fail unless a span named NAME exists
@@ -31,7 +39,44 @@ import sys
 import tempfile
 
 OBS_SCHEMAS = ("owl.obs.v1", "owl.obs.v2")
-BENCH_SCHEMA = "owl.bench.v1"
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDEN = os.path.join(REPO, "tests", "stats_golden.json")
+
+# What the golden pins, exactly, on every --owl run that books any of
+# it. All of it is deterministic for the runs below: synthesis is
+# canonicalized (DESIGN.md §5), verification sums per-instruction
+# queries whatever the worker count, serve runs one session, and a
+# fixed-seed fuzz session is fully reproducible. The families are
+# search effort, lazy Ackermann refinement (DESIGN.md §14), the CNF
+# simplifier's rewrites, serve cache and pool accounting, and the fuzz
+# generator, oracles and reducer.
+TRACKED_COUNTERS = (
+    "sat.conflicts", "sat.propagations", "sat.decisions",
+    "sat.learned_clauses", "cegis.iterations", "cegis.counterexamples",
+    "smt.checks", "smt.ackermann_constraints",
+    "smt.ackermann.lemmas", "smt.ackermann.seeded",
+    "smt.ackermann.rounds", "smt.ackermann.scans",
+    "smt.ackermann.pair_bound",
+    "sat.preprocess.rounds", "sat.preprocess.vars_eliminated",
+    "sat.preprocess.pure_literals", "sat.preprocess.clauses_subsumed",
+    "sat.preprocess.clauses_strengthened",
+    "sat.preprocess.resolvents_added", "sat.preprocess.clauses_deleted",
+    "serve.requests", "serve.instr_queries", "serve.cache.hits",
+    "serve.cache.misses", "serve.cache.insertions",
+    "serve.sessions.created", "serve.sessions.reused",
+    "fuzz.runs", "fuzz.divergences", "fuzz.reduce.steps",
+    "fuzz.oracle.roundtrip", "fuzz.oracle.preprocess",
+    "fuzz.oracle.incremental", "fuzz.oracle.ackermann",
+    "fuzz.oracle.cosim",
+)
+
+TRACKED_HISTOGRAMS = (
+    "smt.query_conflicts", "smt.query_ackermann", "smt.query_ack_rounds",
+    "cegis.instr_ackermann", "sat.lbd",
+)
+
+HISTOGRAM_KEYS = ("count", "sum", "min", "max")
 
 
 class SchemaError(Exception):
@@ -238,51 +283,14 @@ def validate_obs(doc):
                  "v2 document missing non-negative open_spans")
 
 
-def validate_bench(doc):
-    for key, typ in (("commit", str), ("suite", str), ("timestamp", str)):
-        if not isinstance(doc.get(key), typ):
-            fail("$/%s" % key, "missing or not a %s" % typ.__name__)
-    runs = doc.get("runs")
-    if not isinstance(runs, dict) or not runs:
-        fail("$/runs", "missing, empty, or not an object")
-    for name, run in runs.items():
-        path = "$/runs/%s" % name
-        if not isinstance(run, dict):
-            fail(path, "run is not an object")
-        wall = run.get("wall_s")
-        if isinstance(wall, bool) or not isinstance(wall, (int, float)) \
-                or wall < 0:
-            fail(path + "/wall_s", "missing or not a non-negative number")
-        counters = run.get("counters")
-        if not isinstance(counters, dict):
-            fail(path + "/counters", "missing or not an object")
-        for k, v in counters.items():
-            if not is_uint(v):
-                fail(path + "/counters/%s" % k,
-                     "must be a non-negative integer")
-        hists = run.get("histograms", {})
-        if not isinstance(hists, dict):
-            fail(path + "/histograms", "must be an object")
-        for k, h in hists.items():
-            if not isinstance(h, dict):
-                fail(path + "/histograms/%s" % k, "must be an object")
-            for key in ("count", "sum"):
-                if not is_uint(h.get(key)):
-                    fail(path + "/histograms/%s/%s" % (k, key),
-                         "must be a non-negative integer")
-
-
 def validate(doc):
     if not isinstance(doc, dict):
         fail("$", "document is not an object")
     schema = doc.get("schema")
-    if schema in OBS_SCHEMAS:
-        validate_obs(doc)
-    elif schema == BENCH_SCHEMA:
-        validate_bench(doc)
-    else:
+    if schema not in OBS_SCHEMAS:
         fail("$/schema", "expected one of %r, got %r"
-             % (OBS_SCHEMAS + (BENCH_SCHEMA,), schema))
+             % (OBS_SCHEMAS, schema))
+    validate_obs(doc)
 
 
 def check_requirements(doc, require_spans, require_nonzero):
@@ -299,13 +307,17 @@ def check_requirements(doc, require_spans, require_nonzero):
 
 
 def run_owl(owl_bin, owl_args):
-    """Run one owl command with --stats-json and return the stats path."""
+    """Run one owl command from the repository root (file arguments are
+    repository paths) with --stats-json and return the stats path.
+    OWL_JOBS is dropped: it picks the synthesis strategy, so the
+    argument list alone must say how a run is made."""
     fd, path = tempfile.mkstemp(prefix="owl_stats_", suffix=".json")
     os.close(fd)
     cmd = [owl_bin] + owl_args + ["--stats-json", path]
     env = dict(os.environ, OWL_OBS="1")
-    proc = subprocess.run(cmd, env=env, capture_output=True, text=True,
-                          timeout=240)
+    env.pop("OWL_JOBS", None)
+    proc = subprocess.run(cmd, env=env, cwd=REPO, capture_output=True,
+                          text=True, timeout=240)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
         raise SchemaError("%s exited with %d" % (" ".join(cmd),
@@ -525,28 +537,73 @@ def check_query_histograms(doc):
                  "count %d != expected %d samples" % (h["count"], expect))
 
 
+def tracked(doc):
+    """The golden's view of one run: every tracked counter it booked,
+    and count/sum/min/max of every tracked histogram it recorded."""
+    hists = doc.get("histograms", {})
+    return {
+        "counters": {name: doc["counters"][name]
+                     for name in TRACKED_COUNTERS
+                     if name in doc["counters"]},
+        "histograms": {name: {key: hists[name][key]
+                              for key in HISTOGRAM_KEYS}
+                       for name in TRACKED_HISTOGRAMS if name in hists},
+    }
+
+
+def check_golden(key, view, golden):
+    """The run's tracked view must equal its golden entry exactly: the
+    same counters and histograms present, with the same values. A run
+    that tracks nothing (lint) has no entry."""
+    path = "golden[%r]" % key
+    if key not in golden:
+        if any(view.values()):
+            fail(path, "no entry for this run; re-record with "
+                       "--write-golden")
+        return
+    want = golden[key]
+    diffs = []
+    for section in ("counters", "histograms"):
+        have, expect = view[section], want.get(section, {})
+        for name in sorted(set(have) | set(expect)):
+            if have.get(name) != expect.get(name):
+                diffs.append("%s %s is %s, golden %s"
+                             % (section[:-1], name,
+                                json.dumps(have.get(name)),
+                                json.dumps(expect.get(name))))
+    if diffs:
+        fail(path, "%d mismatch(es): %s" % (len(diffs), "; ".join(diffs)))
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("file", nargs="?", help="stats JSON file to validate")
-    ap.add_argument("--owl", help="owl binary: run the accumulator "
-                                  "example and validate its stats")
+    ap.add_argument("--owl", help="owl binary: run the command list, "
+                                  "validate every stats document and "
+                                  "compare it with the golden")
+    ap.add_argument("--write-golden", action="store_true",
+                    help="with --owl: re-record tests/stats_golden.json "
+                         "instead of comparing against it")
     ap.add_argument("--require-span", action="append", default=[])
     ap.add_argument("--require-nonzero-counter", action="append",
                     default=[])
     args = ap.parse_args()
+    if args.write_golden and not args.owl:
+        ap.error("--write-golden needs --owl")
 
     require_spans = list(args.require_span)
     require_nonzero = list(args.require_nonzero_counter)
 
-    # In --owl mode, a series of end-to-end accumulator runs exercise
-    # the exporter: synthesis on the default incremental path (with
-    # CNF preprocessing), synthesis with --no-incremental (fresh
-    # solver per iteration), synthesis with --no-preprocess (the raw
-    # seed behavior), synthesis under --check-proofs, the lint
-    # pipeline, and a serve batch. Each run has its own required
-    # spans/counters on top of the schema check; extra checks run
-    # arbitrary doc predicates (proof-coverage accounting, preprocess
-    # counter consistency, per-query histogram coverage).
+    # In --owl mode, a series of end-to-end runs exercise the
+    # exporter: synthesis on the default incremental path (with CNF
+    # preprocessing), with --no-incremental (fresh solver per
+    # iteration), with --no-preprocess (the raw seed behavior) and
+    # under --check-proofs, verification, lazy and eager Ackermann,
+    # the lint pipeline, two fuzz sessions and a serve batch. Each run
+    # has its own required spans/counters on top of the schema check;
+    # extra checks run arbitrary doc predicates (proof-coverage
+    # accounting, preprocess counter consistency, per-query histogram
+    # coverage). Every run but lint then meets its golden entry.
     runs = []
     if args.owl:
         # Default synthesis runs every instruction's synth side as an
@@ -636,19 +693,20 @@ def main():
                       "lint.cnf", "lint.netlist"],
                      ["lint.runs"],
                      []))
-        # A differential fuzzing session: a deterministic seed range
-        # through generation, synthesis, and all four oracles. Clean
+        # Differential fuzzing sessions: two deterministic seed ranges
+        # through generation, synthesis, and all five oracles. Clean
         # by requirement (exit 0), with the fuzz.* counter family
         # accounting one arming of every oracle per run.
-        runs.append((["fuzz", "--seed", "1", "--runs", "10"],
-                     ["cegis", "smt.checkSat", "sat.solve"],
-                     ["fuzz.runs", "synth.runs", "symeval.runs"],
-                     [check_fuzz_stats, check_bitblast_counters]))
-        # A serve batch with a deliberate duplicate: the repeat job
+        for seed in ("1", "1000"):
+            runs.append((["fuzz", "--seed", seed, "--runs", "25"],
+                         ["cegis", "smt.checkSat", "sat.solve"],
+                         ["fuzz.runs", "synth.runs", "symeval.runs"],
+                         [check_fuzz_stats, check_bitblast_counters]))
+        # A serve batch with deliberate duplicates: the repeat jobs
         # must be answered from the content-addressed cache (nonzero
         # hits AND misses), every request gets its own serve.request
         # span, and the counter accounting balances.
-        runs.append((["serve", "--batch", "@JOBS"],
+        runs.append((["serve", "--batch", "tools/serve_smoke_jobs.json"],
                      ["serve.request", "cegis"],
                      ["serve.requests", "serve.instr_queries",
                       "serve.cache.hits", "serve.cache.misses",
@@ -660,25 +718,16 @@ def main():
     else:
         ap.error("need a FILE or --owl")
 
-    jobs_file = None
+    golden = {}
+    if args.owl and not args.write_golden:
+        with open(GOLDEN) as f:
+            golden = json.load(f)
+    recorded = {}
     for owl_args, run_spans, run_nonzero, extra_checks in runs:
-        cleanup = None
         if owl_args is not None:
-            if "@JOBS" in owl_args:
-                if jobs_file is None:
-                    fd, jobs_file = tempfile.mkstemp(
-                        prefix="owl_serve_jobs_", suffix=".json")
-                    with os.fdopen(fd, "w") as f:
-                        json.dump({"jobs": [
-                            {"id": "first", "design": "accumulator"},
-                            {"id": "repeat", "design": "accumulator"},
-                            {"id": "other", "design": "alu-machine"},
-                        ]}, f)
-                owl_args = [jobs_file if a == "@JOBS" else a
-                            for a in owl_args]
-            path = run_owl(args.owl, owl_args)
-            cleanup = path
-            what = "%s %s" % (args.owl, " ".join(owl_args))
+            path = run_owl(os.path.abspath(args.owl), owl_args)
+            key = " ".join(owl_args)
+            what = "owl " + key
         else:
             path = args.file
             what = path
@@ -686,11 +735,17 @@ def main():
             with open(path) as f:
                 doc = json.load(f)
             validate(doc)
-            if doc.get("schema") in OBS_SCHEMAS:
-                check_requirements(doc, require_spans + run_spans,
-                                   require_nonzero + run_nonzero)
+            check_requirements(doc, require_spans + run_spans,
+                               require_nonzero + run_nonzero)
             for check in extra_checks:
                 check(doc)
+            if owl_args is not None:
+                view = tracked(doc)
+                if args.write_golden:
+                    if any(view.values()):
+                        recorded[key] = view
+                else:
+                    check_golden(key, view, golden)
         except json.JSONDecodeError as e:
             print("FAIL: %s is not valid JSON: %s" % (path, e))
             return 1
@@ -698,17 +753,23 @@ def main():
             print("FAIL: [%s] %s" % (what, e))
             return 1
         finally:
-            if cleanup and os.path.exists(cleanup):
-                os.unlink(cleanup)
-        if doc.get("schema") in OBS_SCHEMAS:
-            print("OK: %s conforms to %s (%d counters, %d root spans)"
-                  % (what, doc["schema"], len(doc["counters"]),
-                     len(doc["spans"])))
-        else:
-            print("OK: %s conforms to %s (%d runs)"
-                  % (what, doc["schema"], len(doc["runs"])))
-    if jobs_file and os.path.exists(jobs_file):
-        os.unlink(jobs_file)
+            if owl_args is not None and os.path.exists(path):
+                os.unlink(path)
+        print("OK: %s conforms to %s (%d counters, %d root spans)"
+              % (what, doc["schema"], len(doc["counters"]),
+                 len(doc["spans"])))
+    if args.write_golden:
+        with open(GOLDEN, "w") as f:
+            json.dump(recorded, f, indent=1)
+            f.write("\n")
+        print("wrote %d golden runs to %s" % (len(recorded), GOLDEN))
+    elif args.owl:
+        made = {" ".join(r[0]) for r in runs}
+        missing = sorted(set(golden) - made)
+        if missing:
+            print("FAIL: golden runs not made: %s" % ", ".join(missing))
+            return 1
+        print("OK: %d runs match %s exactly" % (len(golden), GOLDEN))
     return 0
 
 
