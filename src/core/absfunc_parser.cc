@@ -1,10 +1,11 @@
 #include "core/absfunc_parser.h"
 
-#include <cctype>
+#include <optional>
 #include <sstream>
+#include <string>
 #include <vector>
 
-#include "base/logging.h"
+#include "text/lexer.h"
 
 namespace owl::synth
 {
@@ -12,106 +13,13 @@ namespace owl::synth
 namespace
 {
 
-/** Minimal cursor-based scanner for the α syntax. */
-class Scanner
-{
-  public:
-    explicit Scanner(const std::string &s) : s(s) {}
+using text::Lexer;
+using text::Token;
 
-    void
-    skip()
-    {
-        while (pos < s.size()) {
-            if (std::isspace(static_cast<unsigned char>(s[pos]))) {
-                pos++;
-            } else if (s[pos] == '#') {
-                while (pos < s.size() && s[pos] != '\n')
-                    pos++;
-            } else {
-                break;
-            }
-        }
-    }
+/** Largest `with cycles` depth: the CLI's --cycles range. */
+constexpr int kMaxCycles = 1024;
 
-    bool
-    atEnd()
-    {
-        skip();
-        return pos >= s.size();
-    }
-
-    bool
-    tryChar(char c)
-    {
-        skip();
-        if (pos < s.size() && s[pos] == c) {
-            pos++;
-            return true;
-        }
-        return false;
-    }
-
-    void
-    expectChar(char c)
-    {
-        if (!tryChar(c))
-            owl_fatal("abstraction function parse error: expected '",
-                      std::string(1, c), "' near ...",
-                      s.substr(pos, 20));
-    }
-
-    std::string
-    ident()
-    {
-        skip();
-        size_t start = pos;
-        while (pos < s.size() &&
-               (std::isalnum(static_cast<unsigned char>(s[pos])) ||
-                s[pos] == '_')) {
-            pos++;
-        }
-        if (start == pos)
-            owl_fatal("abstraction function parse error: expected "
-                      "identifier near ...",
-                      s.substr(pos, 20));
-        return s.substr(start, pos - start);
-    }
-
-    /** Identifier optionally wrapped in single quotes. */
-    std::string
-    name()
-    {
-        skip();
-        if (tryChar('\'')) {
-            std::string n = ident();
-            expectChar('\'');
-            return n;
-        }
-        return ident();
-    }
-
-    int
-    number()
-    {
-        skip();
-        size_t start = pos;
-        while (pos < s.size() &&
-               std::isdigit(static_cast<unsigned char>(s[pos]))) {
-            pos++;
-        }
-        if (start == pos)
-            owl_fatal("abstraction function parse error: expected "
-                      "number near ...",
-                      s.substr(pos, 20));
-        return std::stoi(s.substr(start, pos - start));
-    }
-
-  private:
-    const std::string &s;
-    size_t pos = 0;
-};
-
-MapType
+std::optional<MapType>
 mapTypeFromName(const std::string &t)
 {
     if (t == "input")
@@ -122,8 +30,7 @@ mapTypeFromName(const std::string &t)
         return MapType::Register;
     if (t == "memory")
         return MapType::Memory;
-    owl_fatal("abstraction function parse error: unknown type '", t,
-              "'");
+    return std::nullopt;
 }
 
 const char *
@@ -138,97 +45,174 @@ mapTypeName(MapType t)
     return "?";
 }
 
-} // namespace
-
-AbsFunc
-parseAbsFunc(const std::string &text)
+class Parser
 {
-    AbsFunc alpha;
-    Scanner sc(text);
-    bool saw_with = false;
+  public:
+    Parser(const std::string &text, int firstLine)
+        : lex(text, "abstraction function", firstLine)
+    {
+    }
 
-    while (!sc.atEnd()) {
-        std::string head = sc.ident();
-        if (head == "with") {
-            // with cycles: N [, [wire: t, wire: t ...]]
-            std::string kw = sc.ident();
-            if (kw != "cycles")
-                owl_fatal("abstraction function parse error: "
-                          "expected 'cycles' after 'with'");
-            sc.expectChar(':');
-            alpha.withCycles(sc.number());
-            if (sc.tryChar(',')) {
-                sc.expectChar('[');
-                while (!sc.tryChar(']')) {
-                    std::string wire = sc.name();
-                    sc.expectChar(':');
-                    alpha.assume(wire, sc.number());
-                    sc.tryChar(',');
-                }
+    AbsFunc
+    run()
+    {
+        AbsFunc alpha;
+        bool saw_with = false;
+        while (!lex.atEnd()) {
+            Token head = ident("an entry, 'with' or 'alias'");
+            if (head.text == "with") {
+                withClause(alpha);
+                saw_with = true;
+            } else if (head.text == "alias") {
+                std::string a = name();
+                expectPunct('=');
+                std::string b = name();
+                alpha.aliasInit(b, a); // alias f_pc = pc: pc is canonical
+            } else {
+                entry(alpha, head.text);
             }
-            saw_with = true;
-            continue;
         }
-        if (head == "alias") {
-            std::string a = sc.name();
-            sc.expectChar('=');
-            std::string b = sc.name();
-            alpha.aliasInit(b, a); // alias f_pc = pc: pc is canonical
-            continue;
+        if (!saw_with)
+            lex.fail("missing 'with cycles: N' clause", lex.peek());
+        return alpha;
+    }
+
+  private:
+    Lexer lex;
+
+    Token
+    ident(const char *what)
+    {
+        Token t = lex.next();
+        if (t.kind != Token::Ident)
+            lex.fail(std::string("expected ") + what, t);
+        return t;
+    }
+
+    int
+    number()
+    {
+        Token t = lex.next();
+        if (t.kind != Token::Number)
+            lex.fail("expected a number", t);
+        return t.intValue;
+    }
+
+    bool
+    tryPunct(char c)
+    {
+        const Token &t = lex.peek();
+        if (t.kind != Token::Punct || t.text[0] != c)
+            return false;
+        lex.next();
+        return true;
+    }
+
+    void
+    expectPunct(char c)
+    {
+        if (!tryPunct(c))
+            lex.fail(std::string("expected '") + c + "'", lex.peek());
+    }
+
+    /** Identifier optionally wrapped in single quotes. */
+    std::string
+    name()
+    {
+        if (tryPunct('\'')) {
+            std::string n = ident("a name").text;
+            expectPunct('\'');
+            return n;
         }
-        // <SpecID>: {name: 'x', type: t, [effects], fetch: 'wire'}
-        sc.expectChar(':');
-        sc.expectChar('{');
+        return ident("a name").text;
+    }
+
+    /** with cycles: N [, [wire: t, wire: t ...]] */
+    void
+    withClause(AbsFunc &alpha)
+    {
+        Token kw = ident("'cycles' after 'with'");
+        if (kw.text != "cycles")
+            lex.fail("expected 'cycles' after 'with'", kw);
+        expectPunct(':');
+        Token n = lex.peek();
+        int cycles = number();
+        if (cycles < 1 || cycles > kMaxCycles)
+            lex.fail("cycles must be in [1, " +
+                         std::to_string(kMaxCycles) + "]",
+                     n);
+        alpha.withCycles(cycles);
+        if (tryPunct(',')) {
+            expectPunct('[');
+            while (!tryPunct(']')) {
+                std::string wire = name();
+                expectPunct(':');
+                alpha.assume(wire, number());
+                tryPunct(',');
+            }
+        }
+    }
+
+    /** <SpecID>: {name: 'x', type: t, [effects], fetch: 'wire'} */
+    void
+    entry(AbsFunc &alpha, const std::string &head)
+    {
+        expectPunct(':');
+        expectPunct('{');
         std::string dp_name;
         MapType type = MapType::Input;
         std::vector<Effect> effects;
         bool is_fetch = false;
         std::string fetch_wire;
-        while (!sc.tryChar('}')) {
-            if (sc.tryChar('[')) {
-                while (!sc.tryChar(']')) {
-                    std::string kind = sc.ident();
-                    sc.expectChar(':');
-                    int t = sc.number();
-                    if (kind == "read")
+        while (!tryPunct('}')) {
+            if (tryPunct('[')) {
+                while (!tryPunct(']')) {
+                    Token kind = ident("'read' or 'write'");
+                    expectPunct(':');
+                    int t = number();
+                    if (kind.text == "read")
                         effects.push_back({Effect::Read, t});
-                    else if (kind == "write")
+                    else if (kind.text == "write")
                         effects.push_back({Effect::Write, t});
                     else
-                        owl_fatal("abstraction function parse error: "
-                                  "unknown effect '",
-                                  kind, "'");
-                    sc.tryChar(',');
+                        lex.fail("unknown effect '" + kind.text + "'",
+                                 kind);
+                    tryPunct(',');
                 }
-                sc.tryChar(',');
+                tryPunct(',');
                 continue;
             }
-            std::string attr = sc.ident();
-            sc.expectChar(':');
-            if (attr == "name") {
-                dp_name = sc.name();
-            } else if (attr == "type") {
-                type = mapTypeFromName(sc.ident());
-            } else if (attr == "fetch") {
+            Token attr = ident("an attribute");
+            expectPunct(':');
+            if (attr.text == "name") {
+                dp_name = name();
+            } else if (attr.text == "type") {
+                Token t = ident("a type");
+                std::optional<MapType> mt = mapTypeFromName(t.text);
+                if (!mt)
+                    lex.fail("unknown type '" + t.text + "'", t);
+                type = *mt;
+            } else if (attr.text == "fetch") {
                 is_fetch = true;
-                fetch_wire = sc.name();
+                fetch_wire = name();
             } else {
-                owl_fatal("abstraction function parse error: unknown "
-                          "attribute '",
-                          attr, "'");
+                lex.fail("unknown attribute '" + attr.text + "'", attr);
             }
-            sc.tryChar(',');
+            tryPunct(',');
         }
         if (is_fetch)
             alpha.mapFetch(head, dp_name, effects, fetch_wire);
         else
             alpha.map(head, dp_name, type, effects);
     }
+};
 
-    if (!saw_with)
-        owl_fatal("abstraction function parse error: missing "
-                  "'with cycles: N' clause");
-    return alpha;
+} // namespace
+
+AbsFunc
+parseAbsFunc(const std::string &text, int firstLine)
+{
+    return Parser(text, firstLine).run();
 }
 
 std::string

@@ -24,8 +24,13 @@
 namespace owl::synth
 {
 
-/** Parse an abstraction function. Throws FatalError on bad input. */
-AbsFunc parseAbsFunc(const std::string &text);
+/**
+ * Parse an abstraction function. Throws FatalError carrying the line
+ * and column of the offending token on bad input, including a
+ * `with cycles` depth outside [1, 1024]. Lines are numbered from
+ * `firstLine` (a bundle section passes its position in the file).
+ */
+AbsFunc parseAbsFunc(const std::string &text, int firstLine = 1);
 
 /** Render an abstraction function back to the §3.2 syntax. */
 std::string printAbsFunc(const AbsFunc &alpha);

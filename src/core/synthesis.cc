@@ -1,13 +1,13 @@
 #include "core/synthesis.h"
 
-#include <algorithm>
-#include <future>
+#include <atomic>
 #include <iostream>
 #include <vector>
 
 #include "base/logging.h"
 #include "oyster/lint.h"
-#include "exec/thread_pool.h"
+#include "exec/jobs.h"
+#include "exec/run_in_order.h"
 #include "obs/obs.h"
 #include "oyster/symeval.h"
 #include "smt/solver.h"
@@ -50,65 +50,22 @@ cegisOptionsFrom(const SynthesisOptions &opts,
 }
 
 /**
- * Run `run(k, opts_k)` for every instruction k of an n-instruction
- * spec, where opts_k is `opts` with a cancel flag of its own, and
- * return the results in spec order up to and including the first one
- * `ok` rejects: exactly what the sequential loop returns. With more
- * than one job the calls are tasks on an exec::ThreadPool of up to
- * `jobs` workers. A failure at k cancels only the tasks after k, so
- * every task before k reaches its genuine result and a cancelled task
- * is never the first failure. The calling thread only joins, in
- * order, and relays the caller's own cancellation to every task.
+ * exec::runInOrder over instructions: `run(k, opts_k)` gets `opts`
+ * with instruction k's own cancel flag in place of the caller's.
  */
 template <class Run, class Ok>
 auto
 runInstrsInOrder(size_t n, int jobs, const CegisOptions &opts, Run run,
-                 Ok ok) -> std::vector<decltype(run(size_t{}, opts))>
+                 Ok ok)
 {
-    using R = decltype(run(size_t{}, opts));
-    std::vector<R> out;
-    out.reserve(n);
-    if (jobs <= 1 || n <= 1) {
-        for (size_t k = 0; k < n; k++) {
-            out.push_back(run(k, opts));
-            if (!ok(out.back()))
-                break;
-        }
-        return out;
-    }
-    std::vector<exec::CancelToken> cancel(n);
-    auto cancelFrom = [&cancel](size_t k) {
-        for (size_t j = k; j < cancel.size(); j++)
-            cancel[j].cancel();
-    };
-    obs::TaskSpanContext ctx = obs::TaskSpanContext::capture();
-    // Declared after everything its tasks use: its destructor drains
-    // the tasks a failure left behind, cancelled, and joins them.
-    exec::ThreadPool pool(static_cast<int>(std::min<size_t>(jobs, n)));
-    std::vector<std::future<R>> futures;
-    futures.reserve(n);
-    for (size_t k = 0; k < n; k++) {
-        futures.push_back(pool.submit([&, k]() {
-            obs::TaskSpanScope scope(ctx);
+    return exec::runInOrder(
+        n, jobs, opts.cancelFlag,
+        [&](size_t k, const std::atomic<bool> *cancel) {
             CegisOptions task_opts = opts;
-            task_opts.cancelFlag = cancel[k].flag();
-            R r = run(k, task_opts);
-            if (!ok(r))
-                cancelFrom(k + 1);
-            return r;
-        }));
-    }
-    for (size_t k = 0; k < n; k++) {
-        while (futures[k].wait_for(std::chrono::milliseconds(1)) !=
-               std::future_status::ready) {
-            if (opts.cancelled())
-                cancelFrom(0);
-        }
-        out.push_back(futures[k].get());
-        if (!ok(out.back()))
-            break;
-    }
-    return out;
+            task_opts.cancelFlag = cancel;
+            return run(k, task_opts);
+        },
+        ok);
 }
 
 /**

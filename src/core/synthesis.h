@@ -49,11 +49,12 @@ enum class Strategy : uint8_t
     /** §3.3.1 decomposition, sequential, pin-and-relax (default). */
     PerInstruction,
     /**
-     * §3.3.1 decomposition with every instruction's CEGIS dispatched
-     * as an independent task on an owl::exec::ThreadPool. Results are
-     * merged in instruction order, and each task runs without pinning
-     * with its own solver state, so hole values and the control union
-     * are bit-identical to a sequential pinFirst=false run.
+     * §3.3.1 decomposition with every instruction's CEGIS run as an
+     * independent task on up to `jobs` threads (owl::exec::runInOrder).
+     * Results are merged in instruction order, and each task runs
+     * without pinning with its own solver state, so hole values and
+     * the control union are bit-identical to a sequential
+     * pinFirst=false run.
      */
     PerInstructionParallel,
 };
@@ -142,10 +143,10 @@ SynthStatus checkMutualExclusion(const oyster::Design &design,
  * control union's selection chains by unit propagation.
  *
  * The instructions' queries are independent (each has its own term
- * table and solver), so with `jobs` > 1 they run as tasks on an
- * exec::ThreadPool; 0 means exec::defaultJobs(), as for
- * SynthesisOptions::jobs. With one job or one instruction they run
- * inline, in spec order, with no pool. Either way the verdict is the
+ * table and solver), so with `jobs` > 1 they run as tasks on up to
+ * `jobs` threads (exec::runInOrder); 0 means exec::defaultJobs(), as
+ * for SynthesisOptions::jobs. With one job or one instruction they
+ * run inline, in spec order. Either way the verdict is the
  * same: the first instruction in spec order whose query is not
  * Unsat decides it, and a failure cancels only the instructions
  * after it, so a cancelled query is never the one reported. Solver

@@ -2,9 +2,7 @@
  * @file
  * A bounded MPMC work queue for owl serve's request intake.
  *
- * ThreadPool's deque is unbounded by design (task fan-out inside a
- * synthesis run must never deadlock on its own pool); the serve front
- * door wants the opposite: a hard capacity so a flood of requests
+ * The serve front door wants a hard capacity, so a flood of requests
  * blocks (batch mode) or is rejected with backpressure (socket mode)
  * instead of accumulating unbounded memory. Plain mutex + two condvars
  * — intake runs at request granularity (milliseconds of synthesis per

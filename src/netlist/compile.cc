@@ -1,6 +1,7 @@
 #include "netlist/compile.h"
 
 #include <unordered_map>
+#include <vector>
 
 #include "base/logging.h"
 #include "oyster/lint.h"
@@ -181,11 +182,45 @@ class Compiler
         return cur;
     }
 
+    /**
+     * Gates computing expression `root`. Walks an explicit stack, not
+     * the call stack: designs built in C++ have no parser depth cap,
+     * so an expression may nest arbitrarily deep. Each node's kids are
+     * compiled in order, each completely, before the node's own gates;
+     * a shared subexpression is compiled once per use.
+     */
     Bus
-    eval(ExprRef r)
+    eval(ExprRef root)
     {
-        const Expr &e = d.expr(r);
-        auto kid = [&](int i) { return eval(e.kids[i]); };
+        struct Frame
+        {
+            ExprRef r;
+            size_t next = 0; ///< kids compiled so far
+        };
+        std::vector<Frame> stack{{root}};
+        // Compiled kids of the open frames, innermost frame's last.
+        std::vector<Bus> kids;
+        while (!stack.empty()) {
+            Frame &f = stack.back();
+            const Expr &e = d.expr(f.r);
+            if (f.next < e.kids.size()) {
+                ExprRef kid = e.kids[f.next++];
+                stack.push_back({kid});
+                continue;
+            }
+            size_t first = kids.size() - e.kids.size();
+            Bus out = gates(e, kids.data() + first);
+            kids.resize(first);
+            kids.push_back(std::move(out));
+            stack.pop_back();
+        }
+        return std::move(kids.back());
+    }
+
+    /** Gates for node `e` over its compiled kids `k[0..]`. */
+    Bus
+    gates(const Expr &e, Bus *k)
+    {
         Bus out;
         switch (e.op) {
           case ExOp::Var: {
@@ -202,12 +237,12 @@ class Compiler
             return out;
           }
           case ExOp::Not: {
-            return notVec(kid(0));
+            return notVec(k[0]);
           }
           case ExOp::And:
           case ExOp::Or:
           case ExOp::Xor: {
-            Bus a = kid(0), b = kid(1);
+            const Bus &a = k[0], &b = k[1];
             out.resize(e.width);
             for (int i = 0; i < e.width; i++) {
                 out[i] = e.op == ExOp::And ? gAnd(a[i], b[i])
@@ -217,16 +252,16 @@ class Compiler
             return out;
           }
           case ExOp::Neg: {
-            Bus a = notVec(kid(0));
+            Bus a = notVec(k[0]);
             Bus zero(a.size(), c0);
             return addVec(a, zero, c1);
           }
           case ExOp::Add:
-            return addVec(kid(0), kid(1), c0);
+            return addVec(k[0], k[1], c0);
           case ExOp::Sub:
-            return addVec(kid(0), notVec(kid(1)), c1);
+            return addVec(k[0], notVec(k[1]), c1);
           case ExOp::Mul: {
-            Bus a = kid(0), b = kid(1);
+            const Bus &a = k[0], &b = k[1];
             size_t w = a.size();
             Bus acc(w, c0);
             for (size_t i = 0; i < w; i++) {
@@ -238,7 +273,7 @@ class Compiler
             return acc;
           }
           case ExOp::Clmul: {
-            Bus a = kid(0), b = kid(1);
+            const Bus &a = k[0], &b = k[1];
             size_t w = a.size();
             Bus acc(w, c0);
             for (size_t i = 0; i < w; i++) {
@@ -248,7 +283,7 @@ class Compiler
             return acc;
           }
           case ExOp::Clmulh: {
-            Bus a = kid(0), b = kid(1);
+            const Bus &a = k[0], &b = k[1];
             size_t w = a.size();
             Bus acc(w, c0);
             for (size_t i = 0; i < w; i++) {
@@ -263,69 +298,69 @@ class Compiler
           }
           case ExOp::Eq:
           case ExOp::Ne: {
-            Bus a = kid(0), b = kid(1);
+            const Bus &a = k[0], &b = k[1];
             int32_t acc = c1;
             for (size_t i = 0; i < a.size(); i++)
                 acc = gAnd(acc, gNot(gXor(a[i], b[i])));
             return {e.op == ExOp::Eq ? acc : gNot(acc)};
           }
           case ExOp::Ult:
-            return {ultBit(kid(0), kid(1))};
+            return {ultBit(k[0], k[1])};
           case ExOp::Ule:
-            return {gNot(ultBit(kid(1), kid(0)))};
+            return {gNot(ultBit(k[1], k[0]))};
           case ExOp::Slt: {
-            Bus a = kid(0), b = kid(1);
+            Bus &a = k[0], &b = k[1];
             a.back() = gNot(a.back());
             b.back() = gNot(b.back());
             return {ultBit(a, b)};
           }
           case ExOp::Sle: {
-            Bus a = kid(0), b = kid(1);
+            Bus &a = k[0], &b = k[1];
             a.back() = gNot(a.back());
             b.back() = gNot(b.back());
             return {gNot(ultBit(b, a))};
           }
           case ExOp::Ite: {
-            Bus c = kid(0), t = kid(1), el = kid(2);
+            const Bus &c = k[0], &t = k[1], &el = k[2];
             out.resize(e.width);
             for (int i = 0; i < e.width; i++)
                 out[i] = gMux(c[0], t[i], el[i]);
             return out;
           }
           case ExOp::Extract: {
-            Bus a = kid(0);
+            const Bus &a = k[0];
             return Bus(a.begin() + e.b, a.begin() + e.a + 1);
           }
           case ExOp::Concat: {
-            Bus hi = kid(0), lo = kid(1);
-            lo.insert(lo.end(), hi.begin(), hi.end());
+            Bus lo = std::move(k[1]);
+            lo.insert(lo.end(), k[0].begin(), k[0].end());
             return lo;
           }
           case ExOp::ZExt: {
-            Bus a = kid(0);
+            Bus a = std::move(k[0]);
             a.resize(e.width, c0);
             return a;
           }
           case ExOp::SExt: {
-            Bus a = kid(0);
+            Bus a = std::move(k[0]);
             a.resize(e.width, a.back());
             return a;
           }
           case ExOp::Shl:
-            return shiftVec(kid(0), kid(1), true, false, false);
+            return shiftVec(k[0], k[1], true, false, false);
           case ExOp::Lshr:
-            return shiftVec(kid(0), kid(1), false, false, false);
+            return shiftVec(k[0], k[1], false, false, false);
           case ExOp::Ashr:
-            return shiftVec(kid(0), kid(1), false, true, false);
+            return shiftVec(k[0], k[1], false, true, false);
           case ExOp::Rol:
-            return shiftVec(kid(0), kid(1), true, false, true);
+            return shiftVec(k[0], k[1], true, false, true);
           case ExOp::Ror:
-            return shiftVec(kid(0), kid(1), false, false, true);
+            return shiftVec(k[0], k[1], false, false, true);
           case ExOp::Read: {
             const Decl &mc = d.decl(e.name);
             ReadPort rp;
             rp.mem = e.name;
-            rp.addr = kid(0);
+            rp.addr = k[0];
             rp.data.resize(mc.width);
             for (int i = 0; i < mc.width; i++) {
                 rp.data[i] = nl.addGate(GateOp::MemData);

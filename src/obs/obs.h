@@ -346,7 +346,7 @@ class ScopedSpan
 
 /**
  * Captured handle to the innermost open span on the *dispatching*
- * thread. A task scheduled onto a worker (exec::ThreadPool) carries a
+ * thread. A task run on a worker thread (exec::runInOrder) carries a
  * copy; spans the worker completes at its own top level are then
  * delivered to the dispatching span — they appear as its children
  * (sorted by start time) when it closes — instead of piling up as

@@ -63,7 +63,7 @@ walkSpan(const json::Value &span, int parent_lane, bool has_parent,
     }
 
     // A child recorded on a different lane than its parent is an
-    // adopted span: work this span dispatched to a pool worker
+    // adopted span: work this span dispatched to a worker thread
     // (TaskSpanContext). Link it back with a flow arrow and stamp the
     // id into args so validators can pair arrows with spans.
     if (has_parent && lane != parent_lane) {

@@ -11,7 +11,7 @@
  *     thread that recorded it, with span attrs as event args;
  *   - "s"/"f" flow events linking each *adopted* span (a child whose
  *     lane differs from its parent's — i.e. work a span dispatched to
- *     a ThreadPool worker) back to its dispatching span; the adopted
+ *     a worker thread) back to its dispatching span; the adopted
  *     span's X event carries the flow id in args.flow;
  *   - "C" (counter) events for every sample recorded through
  *     obs::sampleCounter() while sampling was on;

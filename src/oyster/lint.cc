@@ -2,6 +2,7 @@
 
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "base/logging.h"
 
@@ -44,28 +45,45 @@ class ExprChecker
     {
     }
 
-    /** Check the node and everything below it (memoized). */
+    /**
+     * Check the node and everything below it (memoized). Walks an
+     * explicit stack, so an arbitrarily deep expression cannot
+     * overflow the call stack.
+     */
     void
-    check(ExprRef r, const std::string &loc)
+    check(ExprRef root, const std::string &loc)
     {
-        if (!valid(r, r, loc))
-            return;
-        if (checked[r.idx])
-            return;
-        checked[r.idx] = 1;
-        const Expr &e = d.expr(r);
-        // Children first: a parent's width rule assumes kid widths
-        // are meaningful.
-        bool kids_ok = true;
-        for (ExprRef k : e.kids) {
-            if (!valid(r, k, loc)) {
-                kids_ok = false;
+        struct Frame
+        {
+            ExprRef r;
+            size_t next = 0;
+            bool kidsOk = true;
+        };
+        std::vector<Frame> stack;
+        auto enter = [&](ExprRef r) {
+            if (!valid(r, r, loc) || checked[r.idx])
+                return;
+            checked[r.idx] = 1;
+            stack.push_back({r});
+        };
+        enter(root);
+        while (!stack.empty()) {
+            Frame &f = stack.back();
+            const Expr &e = d.expr(f.r);
+            if (f.next < e.kids.size()) {
+                ExprRef k = e.kids[f.next++];
+                if (valid(f.r, k, loc))
+                    enter(k);
+                else
+                    f.kidsOk = false;
                 continue;
             }
-            check(k, loc);
+            // Children first: a parent's width rule assumes kid
+            // widths are meaningful.
+            if (f.kidsOk)
+                checkNode(f.r, e, loc);
+            stack.pop_back();
         }
-        if (kids_ok)
-            checkNode(r, e, loc);
     }
 
   private:

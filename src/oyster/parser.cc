@@ -31,7 +31,10 @@ using text::Token;
 class Parser
 {
   public:
-    explicit Parser(const std::string &text) : lex(text, "oyster") {}
+    Parser(const std::string &text, int firstLine)
+        : lex(text, "oyster", firstLine)
+    {
+    }
 
     Design
     run()
@@ -365,9 +368,9 @@ class Parser
 } // namespace
 
 Design
-parseOyster(const std::string &text)
+parseOyster(const std::string &text, int firstLine)
 {
-    Parser p(text);
+    Parser p(text, firstLine);
     return p.run();
 }
 

@@ -42,8 +42,12 @@
 namespace owl::oyster
 {
 
-/** Parse a design from Oyster text. Throws FatalError on bad input. */
-Design parseOyster(const std::string &text);
+/**
+ * Parse a design from Oyster text. Throws FatalError on bad input.
+ * Lines are numbered from `firstLine` (a bundle section passes its
+ * position in the file).
+ */
+Design parseOyster(const std::string &text, int firstLine = 1);
 
 /**
  * True for words the Oyster grammar claims for itself: declaration

@@ -16,8 +16,7 @@ namespace owl::serve
 
 Server::Server(const ServerOptions &opts)
     : opts_(opts), cache_(opts.cacheBytes), pool_(opts.poolSlots),
-      queue_(opts.queueCap > 0 ? opts.queueCap : 1),
-      workers_(opts.sessions > 0 ? opts.sessions : 1)
+      queue_(opts.queueCap > 0 ? opts.queueCap : 1)
 {
     int n = opts_.sessions > 0 ? opts_.sessions : 1;
     opts_.sessions = n;
@@ -34,7 +33,7 @@ Server::Server(const ServerOptions &opts)
         obs::Registry::instance().counter(name);
     loops_.reserve(static_cast<size_t>(n));
     for (int i = 0; i < n; i++)
-        loops_.push_back(workers_.submit([this, i] { sessionLoop(i); }));
+        loops_.emplace_back([this, i] { sessionLoop(i); });
 }
 
 Server::~Server() { shutdown(); }
@@ -54,16 +53,12 @@ Server::shutdown()
         // the loops wind down promptly instead of finishing long
         // CEGIS runs.
         std::lock_guard<std::mutex> lock(activeMu_);
-        for (exec::CancelToken &t : active_)
-            t.cancel();
+        for (std::atomic<bool> &flag : active_)
+            flag.store(true, std::memory_order_relaxed);
     }
-    // Plain get(), NOT workers_.waitFor(): a helping join could
-    // inline-execute a session loop on this thread and block in
-    // queue_.pop(). The loops exit promptly once the queue closes.
-    for (auto &f : loops_) {
-        if (f.valid())
-            f.get();
-    }
+    // The loops exit once the queue is closed and drained.
+    for (std::thread &t : loops_)
+        t.join();
     loops_.clear();
 }
 
@@ -135,17 +130,14 @@ Server::processJob(const JobRequest &req)
     res.id = req.id;
     res.design = req.design;
 
-    // Per-request budget + cancellation. Deadline set before the
-    // token is shared (copies land in active_ and in CDCL).
-    exec::CancelToken token;
+    // Per-request budget + cancellation: the deadline rides on the
+    // CEGIS options, the cancel flag lives in active_ for shutdown().
     int64_t budget_ms =
         req.budgetMs > 0 ? req.budgetMs : opts_.defaultBudgetMs;
-    if (budget_ms > 0)
-        token.setDeadline(t0 + std::chrono::milliseconds(budget_ms));
-    std::list<exec::CancelToken>::iterator active_it;
+    std::list<std::atomic<bool>>::iterator active_it;
     {
         std::lock_guard<std::mutex> lock(activeMu_);
-        active_it = active_.insert(active_.end(), token);
+        active_it = active_.emplace(active_.end(), false);
     }
 
     // Per-request observability: own span tree + counter deltas, no
@@ -176,7 +168,7 @@ Server::processJob(const JobRequest &req)
             synth::CegisOptions copts;
             copts.maxIterations = req.maxIterations;
             copts.solver = req.solver;
-            copts.cancelFlag = token.flag();
+            copts.cancelFlag = &*active_it;
             if (budget_ms > 0)
                 copts.deadline =
                     t0 + std::chrono::milliseconds(budget_ms);

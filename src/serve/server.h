@@ -6,14 +6,15 @@
  *                                  |         |
  *                          WarmSessionPool  ResultCache
  *
- * A Server owns a bounded intake queue, an exec::ThreadPool running N
- * long-lived session loops, the cross-request ResultCache, and the
+ * A Server owns a bounded intake queue, N threads running long-lived
+ * session loops, the cross-request ResultCache, and the
  * WarmSessionPool. Every front end — `owl serve --batch`, the NDJSON
  * socket, tests — goes through submit(), so they exercise the
  * identical path.
  *
- * Per request: its own CancelToken (budget_ms deadline, plumbed
- * through CEGIS into CDCL), its own obs::RequestScope (span tree +
+ * Per request: its own cancel flag (set by shutdown()) and budget_ms
+ * deadline, both plumbed through CEGIS into CDCL, its own
+ * obs::RequestScope (span tree +
  * counter deltas + abandoned-span force-close), and per-instruction
  * cache lookups keyed by content fingerprints. owl_panic/owl_fatal
  * escape as exceptions and are caught per request: the session loop
@@ -23,14 +24,15 @@
 #ifndef OWL_SERVE_SERVER_H
 #define OWL_SERVE_SERVER_H
 
+#include <atomic>
 #include <future>
 #include <list>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "exec/queue.h"
-#include "exec/thread_pool.h"
 #include "serve/cache.h"
 #include "serve/request.h"
 #include "serve/session_pool.h"
@@ -104,12 +106,11 @@ class Server
     ResultCache cache_;
     WarmSessionPool pool_;
     exec::BoundedQueue<Item> queue_;
-    exec::ThreadPool workers_;
-    std::vector<std::future<void>> loops_;
-
     std::mutex activeMu_;
-    std::list<exec::CancelToken> active_; ///< in-flight cancel tokens
+    std::list<std::atomic<bool>> active_; ///< in-flight cancel flags
     bool down_ = false;
+
+    std::vector<std::thread> loops_; ///< session loops
 };
 
 } // namespace owl::serve

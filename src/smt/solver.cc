@@ -66,7 +66,6 @@ SolverPolicy::satOptions() const
 {
     sat::Solver::Options o;
     o.simp.enabled = preprocess;
-    o.simp.inprocessConflicts = inprocessConflicts;
     return o;
 }
 

@@ -84,13 +84,6 @@ struct SolverPolicy
      */
     bool preprocess = true;
     /**
-     * Conflicts between inprocessing rounds at restart boundaries
-     * (sat::SimpOptions::inprocessConflicts); 0 disables inprocessing
-     * while keeping solve-entry preprocessing. Only meaningful with
-     * preprocess on (`owl synth --inprocess N`).
-     */
-    uint64_t inprocessConflicts = 20000;
-    /**
      * Instantiate the full quadratic set of Ackermann congruence
      * constraints for memory base reads up front instead of the
      * default lemmas-on-demand refinement loop (DESIGN.md §14).

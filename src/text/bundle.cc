@@ -39,7 +39,7 @@ parseBundle(const std::string &text)
 {
     // Split into sections on column-0 keywords, tracking the line
     // number each section starts at so parse errors inside a section
-    // can be re-anchored to the whole file.
+    // carry the whole file's line numbers.
     struct Section
     {
         std::string kind;
@@ -87,13 +87,14 @@ parseBundle(const std::string &text)
         };
         if (s.kind == "design") {
             dup("design", b.design.has_value());
-            b.design = oyster::parseOyster(s.body);
+            b.design = oyster::parseOyster(s.body, s.firstLine);
         } else if (s.kind == "spec") {
             dup("spec", b.spec != nullptr);
-            b.spec = parseIla(s.body);
+            b.spec = parseIla(s.body, s.firstLine);
         } else {
             dup("alpha", b.alpha.has_value());
-            b.alpha = synth::parseAbsFunc(s.body);
+            // The alpha body starts on the line after its keyword.
+            b.alpha = synth::parseAbsFunc(s.body, s.firstLine + 1);
         }
     }
     return b;

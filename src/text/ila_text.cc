@@ -202,7 +202,10 @@ namespace
 class SpecParser
 {
   public:
-    explicit SpecParser(const std::string &text) : lex(text, "spec") {}
+    SpecParser(const std::string &text, int firstLine)
+        : lex(text, "spec", firstLine)
+    {
+    }
 
     std::unique_ptr<Ila>
     run()
@@ -516,9 +519,9 @@ class SpecParser
 } // namespace
 
 std::unique_ptr<Ila>
-parseIla(const std::string &text)
+parseIla(const std::string &text, int firstLine)
 {
-    SpecParser p(text);
+    SpecParser p(text, firstLine);
     return p.run();
 }
 

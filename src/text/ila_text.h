@@ -44,9 +44,10 @@ std::string printIla(const ila::Ila &m);
 std::string ilaExprToString(const ila::IlaContext &ctx, int32_t idx);
 
 /** Parse an ILA model. Throws FatalError (with line/column) on bad
- * input. Returned by pointer: Ila owns its context and is not
- * copyable. */
-std::unique_ptr<ila::Ila> parseIla(const std::string &text);
+ * input; lines are numbered from `firstLine`. Returned by pointer:
+ * Ila owns its context and is not copyable. */
+std::unique_ptr<ila::Ila> parseIla(const std::string &text,
+                                   int firstLine = 1);
 
 /** Reserved words of the spec grammar (cannot name states/instrs). */
 bool isIlaReservedWord(const std::string &word);

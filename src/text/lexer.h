@@ -22,6 +22,7 @@
 #include <cstring>
 #include <deque>
 #include <string>
+#include <utility>
 
 #include "base/bitvec.h"
 #include "base/logging.h"
@@ -63,10 +64,9 @@ struct Token
  * Both recurse a few stack frames per level, so deeper input (say
  * 200k '(' or '~') ends in a located "nesting too deep" error instead
  * of a stack overflow. The deepest printed registry design, example or
- * fuzz bundle nests 52 levels (aes). The walks after parsing recurse
- * too: under AddressSanitizer, netlist compilation of a `~` chain
- * overflows an 8 MiB stack at about 900 levels, so the cap stays well
- * below that.
+ * fuzz bundle nests 52 levels (aes). Some walks after parsing (the
+ * printer, Verilog emission) recurse per level too; the cap keeps
+ * them far from the stack's limit.
  */
 constexpr int kMaxExprDepth = 512;
 
@@ -78,8 +78,12 @@ constexpr int kMaxExprDepth = 512;
 class Lexer
 {
   public:
-    explicit Lexer(const std::string &s, std::string context)
-        : s(s), ctx(std::move(context))
+    /**
+     * Tokens of `s` are located from line `firstLine`: a section cut
+     * out of a larger file reports the file's line numbers.
+     */
+    Lexer(const std::string &s, std::string context, int firstLine = 1)
+        : s(s), ctx(std::move(context)), line(firstLine)
     {
     }
 
@@ -87,7 +91,7 @@ class Lexer
     next()
     {
         if (!ahead.empty()) {
-            Token t = ahead.front();
+            Token t = std::move(ahead.front());
             ahead.pop_front();
             return t;
         }
@@ -141,7 +145,7 @@ class Lexer
     std::string ctx;
     int depth = 0; ///< open Nest guards
     size_t pos = 0;
-    int line = 1;
+    int line;
     int lineStart = 0; ///< offset of the current line's first char
     std::deque<Token> ahead;
 

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "base/logging.h"
 #include "core/absfunc_parser.h"
 #include "core/synthesis.h"
@@ -105,6 +107,24 @@ TEST(AbsFuncParser, RoundTrip)
     EXPECT_EQ(once, twice);
 }
 
+namespace
+{
+
+/** The message parseAbsFunc fails with on `text` ("" if it parses). */
+std::string
+parseError(const std::string &text)
+{
+    try {
+        parseAbsFunc(text);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    ADD_FAILURE() << "expected a parse error for:\n" << text;
+    return "";
+}
+
+} // namespace
+
 TEST(AbsFuncParser, ErrorsAreDiagnosed)
 {
     EXPECT_THROW(parseAbsFunc("pc: {name: 'pc'}"), FatalError);
@@ -112,6 +132,44 @@ TEST(AbsFuncParser, ErrorsAreDiagnosed)
                               "[read: 1]}\nwith cycles: 1"),
                  FatalError);
     EXPECT_THROW(parseAbsFunc("with cycles: "), FatalError);
+
+    // Errors carry the offending token's line and column.
+    std::string m = parseError("pc: {name: 'pc', type: register,\n"
+                               "     [read: 1, write: 1]}\n"
+                               "st: {name: 'st', type: banana}\n"
+                               "with cycles: 1\n");
+    EXPECT_NE(m.find("line 3, column 24: unknown type 'banana'"),
+              std::string::npos)
+        << m;
+    m = parseError("pc: {name: 'pc', type: register, [read: 1]}\n");
+    EXPECT_NE(m.find("missing 'with cycles: N'"), std::string::npos) << m;
+
+    // `with cycles` takes the CLI's --cycles range, [1, 1024]; an
+    // integer too large for the lexer is a located error, not a crash.
+    m = parseError("\nwith cycles: 99999999999999999999\n");
+    EXPECT_NE(m.find("line 2, column 14: integer literal too large"),
+              std::string::npos)
+        << m;
+    for (const char *bad : {"0", "1025", "1000000000"}) {
+        SCOPED_TRACE(bad);
+        m = parseError(std::string("with cycles: ") + bad);
+        EXPECT_NE(m.find("line 1, column 14: cycles must be in "
+                         "[1, 1024]"),
+                  std::string::npos)
+            << m;
+    }
+    EXPECT_EQ(parseAbsFunc("with cycles: 1024").cycles(), 1024);
+
+    // Lines count from the given first line (a bundle section's
+    // position in its file).
+    try {
+        parseAbsFunc("with cycles: 1, [valid: x]\n", 40);
+        ADD_FAILURE() << "expected a parse error";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("line 40, column 25"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(AbsFuncParser, TextDrivenSynthesisEndToEnd)

@@ -251,8 +251,9 @@ TEST(Ackermann, RandomizedLazyMatchesEager)
             bool trivial = false;
             for (TermRef t : q)
                 trivial = trivial || tt.isFalse(t);
-            if (!trivial)
+            if (!trivial) {
                 EXPECT_TRUE(ls.proofChecked) << "iter " << iter;
+            }
         }
         lemma_rounds_seen += ls.ackermannRounds > 0;
         // Lazy never instantiates more than eager's full pair set.

@@ -11,12 +11,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <functional>
 #include <map>
 #include <optional>
 #include <random>
 #include <string>
+#include <thread>
 
 #include "designs/accumulator.h"
 #include "designs/alu_machine.h"
@@ -175,12 +177,13 @@ TEST(CoreAluMachine, SynthesizesAndVerifies)
         } else {
             EXPECT_EQ(holes.at("reg_write").toUint64(), 1u);
             uint64_t op = holes.at("alu_op").toUint64();
-            if (name == "ADD")
+            if (name == "ADD") {
                 EXPECT_EQ(op, aluADD);
-            else if (name == "XOR")
+            } else if (name == "XOR") {
                 EXPECT_EQ(op, aluXOR);
-            else if (name == "SUB")
+            } else if (name == "SUB") {
                 EXPECT_EQ(op, aluSUB);
+            }
         }
     }
 }
@@ -493,4 +496,56 @@ TEST(CoreVerify, ReportsFirstWrongInstructionInOrder)
                   SynthStatus::Timeout);
         EXPECT_EQ(failed, "NOP");
     }
+}
+
+TEST(CoreVerify, PresetCallerCancelStopsAtFirstInstruction)
+{
+    CaseStudy cs = makeAluMachine();
+    SynthesisResult r = synthesizeControl(cs.sketch, cs.spec, cs.alpha);
+    ASSERT_EQ(r.status, SynthStatus::Ok) << r.failedInstr;
+    std::atomic<bool> cancel{true};
+    CegisOptions opts;
+    opts.cancelFlag = &cancel;
+    for (int jobs : {1, 4}) {
+        SCOPED_TRACE(jobs);
+        std::string failed;
+        EXPECT_EQ(verifyDesign(cs.sketch, cs.spec, cs.alpha, &failed,
+                               opts, jobs),
+                  SynthStatus::Timeout);
+        EXPECT_EQ(failed, "NOP");
+    }
+}
+
+TEST(CoreVerify, CallerCancelFromAnotherThreadReturnsPromptly)
+{
+    // The caller's flag reaches the worker threads only through the
+    // joining thread's relay: without it every task would run to
+    // Unsat and the design would verify.
+    std::optional<CaseStudy> cs = makeCaseStudy("rv32i-2stage");
+    ASSERT_TRUE(cs);
+    SynthesisOptions sopts;
+    sopts.strategy = Strategy::PerInstructionParallel;
+    sopts.jobs = 4;
+    SynthesisResult r =
+        synthesizeControl(cs->sketch, cs->spec, cs->alpha, sopts);
+    ASSERT_EQ(r.status, SynthStatus::Ok) << r.failedInstr;
+
+    std::atomic<bool> cancel{false};
+    CegisOptions opts;
+    opts.cancelFlag = &cancel;
+    std::chrono::steady_clock::time_point cancelled_at;
+    std::thread canceller([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        cancelled_at = std::chrono::steady_clock::now();
+        cancel = true;
+    });
+    std::string failed;
+    SynthStatus v =
+        verifyDesign(cs->sketch, cs->spec, cs->alpha, &failed, opts, 4);
+    auto returned = std::chrono::steady_clock::now();
+    canceller.join();
+    EXPECT_EQ(v, SynthStatus::Timeout) << failed;
+    // In-flight tasks stop at their next SAT-loop poll; the bound is
+    // loose enough for sanitizer builds.
+    EXPECT_LT(returned - cancelled_at, std::chrono::seconds(5));
 }

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for owl::exec — the work-stealing thread pool, cancellation
- * tokens, the bounded queue, and the determinism contract of
+ * Tests for owl::exec — the ordered runner, the default job count,
+ * the bounded queue, and the determinism contract of
  * Strategy::PerInstructionParallel (bit-identical hole values to a
  * sequential no-pinning run).
  */
@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,88 +24,120 @@
 #include "core/synthesis.h"
 #include "designs/accumulator.h"
 #include "designs/riscv_single_cycle.h"
+#include "exec/jobs.h"
 #include "exec/queue.h"
-#include "exec/thread_pool.h"
+#include "exec/run_in_order.h"
 
 using namespace owl;
 using namespace owl::exec;
 using namespace owl::synth;
 
-// ---- thread pool -------------------------------------------------------
+// ---- ordered runner ----------------------------------------------------
+
+namespace
+{
+
+/** Spin until `flag` is set; false if it stays clear for 10 s. */
+bool
+awaitCancel(const std::atomic<bool> *flag)
+{
+    auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!flag->load()) {
+        if (std::chrono::steady_clock::now() > give_up)
+            return false;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+}
+
+auto always = [](const auto &) { return true; };
+
+} // namespace
 
 TEST(ExecPool, SubmitReturnsResults)
 {
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.workerCount(), 4);
-    std::vector<std::future<int>> futures;
-    for (int i = 0; i < 100; i++)
-        futures.push_back(pool.submit([i] { return i * i; }));
-    for (int i = 0; i < 100; i++)
-        EXPECT_EQ(pool.waitFor(futures[i]), i * i);
+    for (int jobs : {1, 4}) {
+        SCOPED_TRACE(jobs);
+        std::vector<int> out = runInOrder(
+            100, jobs, nullptr,
+            [](size_t k, const std::atomic<bool> *) {
+                return static_cast<int>(k * k);
+            },
+            always);
+        ASSERT_EQ(out.size(), 100u);
+        for (int i = 0; i < 100; i++)
+            EXPECT_EQ(out[i], i * i);
+    }
 }
 
 TEST(ExecPool, PropagatesExceptions)
 {
-    ThreadPool pool(2);
-    auto f = pool.submit(
-        []() -> int { throw std::runtime_error("boom"); });
-    EXPECT_THROW(pool.waitFor(f), std::runtime_error);
+    for (int jobs : {1, 2}) {
+        SCOPED_TRACE(jobs);
+        auto task = [](size_t k, const std::atomic<bool> *) -> int {
+            if (k == 5)
+                throw std::runtime_error("boom");
+            return 0;
+        };
+        EXPECT_THROW(runInOrder(8, jobs, nullptr, task, always),
+                     std::runtime_error);
+        // A rejected result before the throwing task decides the run.
+        std::vector<int> out = runInOrder(
+            8, jobs, nullptr, task, [](int) { return false; });
+        EXPECT_EQ(out.size(), 1u);
+    }
 }
 
-TEST(ExecPool, NestedJoinDoesNotDeadlock)
+TEST(ExecPool, FailureCancelsOnlyLaterTasks)
 {
-    // A task that submits sub-tasks and joins them, on a single-worker
-    // pool: only the helping join (waitFor runs pending work) can make
-    // this terminate.
-    ThreadPool pool(1);
-    auto outer = pool.submit([&pool] {
-        int sum = 0;
-        std::vector<std::future<int>> subs;
-        for (int i = 0; i < 8; i++)
-            subs.push_back(pool.submit([i] { return i; }));
-        for (auto &s : subs)
-            sum += pool.waitFor(s);
-        return sum;
+    // Task 3 fails at once. Every later task waits for its cancel flag,
+    // so the run ends only if the failure sets those flags; earlier
+    // tasks must never see theirs.
+    constexpr size_t n = 8;
+    std::vector<std::atomic<int>> seen(n);
+    std::vector<bool> out = runInOrder(
+        n, 4, nullptr,
+        [&](size_t k, const std::atomic<bool> *cancel) {
+            if (k > 3)
+                seen[k] = awaitCancel(cancel) ? 1 : -1;
+            else
+                seen[k] = cancel->load() ? 1 : 0;
+            return k != 3;
+        },
+        [](bool r) { return r; });
+    EXPECT_EQ(out, std::vector<bool>({true, true, true, false}));
+    for (size_t k = 0; k < n; k++)
+        EXPECT_EQ(seen[k].load(), k > 3 ? 1 : 0) << "task " << k;
+}
+
+TEST(ExecPool, RelaysCallerCancellation)
+{
+    // Inline, every task polls the caller's own flag.
+    std::atomic<bool> caller{false};
+    std::vector<const std::atomic<bool> *> flags = runInOrder(
+        3, 1, &caller,
+        [](size_t, const std::atomic<bool> *c) { return c; }, always);
+    for (const std::atomic<bool> *f : flags)
+        EXPECT_EQ(f, &caller);
+
+    // On threads, each task has its own flag, and cancelling the
+    // caller's sets all of them.
+    std::thread canceller([&caller] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        caller = true;
     });
-    EXPECT_EQ(pool.waitFor(outer), 28);
+    std::vector<bool> cancelled = runInOrder(
+        6, 3, &caller,
+        [&caller](size_t, const std::atomic<bool> *c) {
+            return c != &caller && awaitCancel(c);
+        },
+        always);
+    canceller.join();
+    EXPECT_EQ(cancelled, std::vector<bool>(6, true));
 }
 
-TEST(ExecPool, ExternalThreadCanHelp)
-{
-    ThreadPool pool(1);
-    // Saturate the single worker so tryRunOne from this thread has
-    // something to steal.
-    std::atomic<int> ran{0};
-    std::vector<std::future<void>> futures;
-    for (int i = 0; i < 64; i++)
-        futures.push_back(pool.submit([&ran] { ran.fetch_add(1); }));
-    while (ran.load() < 64) {
-        if (!pool.tryRunOne())
-            std::this_thread::yield();
-    }
-    for (auto &f : futures)
-        pool.waitFor(f);
-    EXPECT_EQ(ran.load(), 64);
-    EXPECT_EQ(pool.pendingTasks(), 0u);
-}
-
-TEST(ExecPool, DestructorDrainsQueue)
-{
-    std::atomic<int> ran{0};
-    {
-        ThreadPool pool(2);
-        for (int i = 0; i < 32; i++)
-            pool.submit([&ran] { ran.fetch_add(1); });
-    }
-    EXPECT_EQ(ran.load(), 32);
-}
-
-TEST(ExecPool, DefaultJobsIsPositive)
-{
-    EXPECT_GE(defaultJobs(), 1);
-    ThreadPool pool; // 0 = defaultJobs()
-    EXPECT_GE(pool.workerCount(), 1);
-}
+TEST(ExecPool, DefaultJobsIsPositive) { EXPECT_GE(defaultJobs(), 1); }
 
 namespace
 {
@@ -177,31 +210,6 @@ TEST(ExecPool, DefaultJobsParsesOwlJobsStrictly)
         ScopedJobsEnv env(bad);
         EXPECT_EQ(defaultJobs(), unset);
     }
-}
-
-// ---- cancel token ------------------------------------------------------
-
-TEST(ExecCancel, CopiesShareState)
-{
-    CancelToken a;
-    CancelToken b = a;
-    EXPECT_FALSE(a.cancelled());
-    b.cancel();
-    EXPECT_TRUE(a.cancelled());
-    EXPECT_TRUE(a.expired());
-    EXPECT_TRUE(a.flag()->load());
-}
-
-TEST(ExecCancel, DeadlineExpires)
-{
-    CancelToken t;
-    EXPECT_FALSE(t.hasDeadline());
-    EXPECT_FALSE(t.expired());
-    t.setDeadline(std::chrono::steady_clock::now() -
-                  std::chrono::milliseconds(1));
-    EXPECT_TRUE(t.hasDeadline());
-    EXPECT_TRUE(t.expired());
-    EXPECT_FALSE(t.cancelled()); // deadline is not cancellation
 }
 
 // ---- parallel synthesis determinism ------------------------------------

@@ -4,7 +4,7 @@
  * generator determinism and well-formedness, oracle sensitivity (the
  * oracles can actually fire), the greedy reducer, a fixed-seed smoke
  * session, and replay of the checked-in regression corpus
- * (`tests/corpus/*.owl`) through all five oracles.
+ * (every `.owl` file in `tests/corpus/`) through all five oracles.
  */
 
 #include <filesystem>

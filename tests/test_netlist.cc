@@ -49,6 +49,27 @@ TEST(NetlistCompile, AdderGateCount)
     EXPECT_EQ(nl.outputs.at("sum").size(), 8u);
 }
 
+TEST(NetlistCompile, DeepExpressionChainCompiles)
+{
+    // Designs built in C++ have no parser depth cap: compilation (and
+    // the lint pass in front of it) must not recurse per level.
+    constexpr int kDepth = 100000;
+    Design d("deep");
+    d.addInput("a", 1);
+    d.addOutput("q", 1);
+    ExprRef e = d.var("a");
+    for (int i = 0; i < kDepth; i++)
+        e = d.opNot(e);
+    d.assign("q", e);
+    Netlist nl = compile(d);
+    EXPECT_EQ(nl.gateCount(), kDepth); // one Not per level
+    NetlistSim sim(nl);
+    for (uint64_t a : {0u, 1u}) {
+        sim.step({{"a", BitVec(1, a)}});
+        EXPECT_EQ(sim.output("q").toUint64(), a); // an even chain
+    }
+}
+
 TEST(NetlistCompile, AdderSimulates)
 {
     Design d = makeAdderDesign();

@@ -19,7 +19,6 @@
 
 #include "core/synthesis.h"
 #include "designs/accumulator.h"
-#include "exec/thread_pool.h"
 #include "obs/json.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
@@ -334,7 +333,7 @@ TEST_F(ObsTest, LocalHistogramRecordsAndMerges)
 TEST_F(ObsTest, HistogramShardMergeDeterministicAcrossJobs)
 {
     // Per-thread shards must merge to the same totals no matter how
-    // many pool workers recorded the samples — the shard split is an
+    // many threads recorded the samples — the shard split is an
     // implementation detail, never visible in the snapshot.
     constexpr uint64_t kSamples = 1000;
     obs::LocalHistogram expected;
@@ -343,17 +342,18 @@ TEST_F(ObsTest, HistogramShardMergeDeterministicAcrossJobs)
 
     for (int jobs : {1, 2, 4}) {
         obs::Histogram h;
-        exec::ThreadPool pool(jobs);
-        std::vector<std::future<void>> futs;
-        for (int chunk = 0; chunk < 10; chunk++) {
-            futs.push_back(pool.submit([&h, chunk] {
-                for (uint64_t v = chunk * (kSamples / 10);
-                     v < (chunk + 1) * (kSamples / 10); v++)
-                    h.record(v);
-            }));
+        std::vector<std::thread> threads;
+        for (int t = 0; t < jobs; t++) {
+            threads.emplace_back([&h, t, jobs] {
+                for (int chunk = t; chunk < 10; chunk += jobs) {
+                    for (uint64_t v = chunk * (kSamples / 10);
+                         v < (chunk + 1) * (kSamples / 10); v++)
+                        h.record(v);
+                }
+            });
         }
-        for (auto &f : futs)
-            pool.waitFor(f);
+        for (std::thread &t : threads)
+            t.join();
         obs::LocalHistogram snap = h.snapshot();
         EXPECT_EQ(snap.count, expected.count) << "jobs=" << jobs;
         EXPECT_EQ(snap.sum, expected.sum) << "jobs=" << jobs;
@@ -679,7 +679,7 @@ TEST_F(ObsTest, InvalidContextIsNoOp)
 
 TEST_F(ObsTest, ConcurrentSynthesisTasksProduceCoherentTree)
 {
-    // The parallel strategy end-to-end: spans recorded by pool workers
+    // The parallel strategy end-to-end: spans recorded by worker threads
     // must all land under the dispatching "synthesize" span, and the
     // aggregate counters must match the result exactly as they do in
     // the sequential pipeline test.

@@ -333,8 +333,6 @@ TEST(ServePool, RebuildsOnIncompatibleOptions)
          [](smt::SolverPolicy &p) { p.profileSat = true; }, false},
         {"preprocess",
          [](smt::SolverPolicy &p) { p.preprocess = false; }, false},
-        {"inprocessConflicts",
-         [](smt::SolverPolicy &p) { p.inprocessConflicts = 100; }, false},
         {"eagerAckermann",
          [](smt::SolverPolicy &p) { p.eagerAckermann = true; }, false},
     };

@@ -189,4 +189,42 @@ TEST(BundleText, BundleErrorsAreDiagnosed)
     EXPECT_THROW(parseBundle("design a\n  input x 1\n"
                              "design b\n  input y 1\n"),
                  FatalError);
+
+    // Errors inside a section name the file's line, whatever the
+    // section's position in the file.
+    auto failure = [](const std::string &text) -> std::string {
+        try {
+            parseBundle(text);
+        } catch (const FatalError &e) {
+            return e.what();
+        }
+        ADD_FAILURE() << "expected a parse error for:\n" << text;
+        return "";
+    };
+    const std::string design = "design tiny\n"   // line 1
+                               "  input a 1\n"   // 2
+                               "  output q 1\n"  // 3
+                               "  q := a\n";     // 4
+    const std::string spec = "spec tinyspec\n"   // line 1
+                             "  input a 1\n"     // 2
+                             "  fetch a\n"       // 3
+                             "  instr only\n"    // 4
+                             "    decode (a == 1'h1)\n"; // 5
+    const std::string alpha = "alpha\n  with cycles: 1\n";
+    ASSERT_NO_THROW(parseBundle(design + spec + alpha));
+
+    std::string m = failure(spec + "design tiny\n  input a 1\n"
+                                   "  output q 1\n  q := )\n" +
+                            alpha);
+    EXPECT_NE(m.find("oyster parse error at line 9, column 8"),
+              std::string::npos)
+        << m;
+    m = failure(design + spec + "    update ghost a\n" + alpha);
+    EXPECT_NE(m.find("spec parse error at line 10,"), std::string::npos)
+        << m;
+    m = failure(design + spec + "alpha\n  with cycles: 0\n");
+    EXPECT_NE(m.find("abstraction function parse error at line 11, "
+                     "column 16"),
+              std::string::npos)
+        << m;
 }

@@ -14,7 +14,7 @@
  *       Synthesize control logic; optionally via the monolithic
  *       Equation (1) query; optionally emit Verilog of the completed
  *       design. `--jobs N` (or the OWL_JOBS environment variable)
- *       runs per-instruction CEGIS tasks on an N-worker thread pool.
+ *       runs per-instruction CEGIS tasks on N worker threads.
  *       See DESIGN.md §7 for the determinism contract. Numeric flags
  *       must be whole decimal integers in range; anything else is a
  *       usage error (exit 2).
@@ -23,7 +23,7 @@
  * owl::obs registry (CEGIS span tree, SAT/SMT counters, histograms)
  * is exported to the given file in the owl.obs.v2 schema; see
  * DESIGN.md §6 and §10. `--trace-out <path>` exports the same run as
- * a Chrome Trace Event JSON timeline (one lane per pool worker, flow
+ * a Chrome Trace Event JSON timeline (one lane per worker thread, flow
  * arrows for cross-thread task adoption, counter tracks) loadable in
  * Perfetto / chrome://tracing. `--profile-sat` attributes SAT solve
  * time to CDCL phases (sat.phase.* counters) by stride sampling.
@@ -120,8 +120,8 @@ usage()
             "(or OWL_JOBS; verify checks instructions on n threads "
             "too), "
             "--budget <seconds>, --check-proofs, "
-            "--no-incremental, --no-preprocess, --inprocess "
-            "<conflicts>, --eager-ackermann, --profile-sat, "
+            "--no-incremental, --no-preprocess, "
+            "--eager-ackermann, --profile-sat, "
             "-o <file.v>\n"
             "options (lint): --cycles <k>  symbolic-evaluation depth\n"
             "options (serve): --batch <jobs.json>, --results "
@@ -554,9 +554,6 @@ main(int argc, char **argv)
             opts.solver.preprocess = false;
         } else if (!strcmp(argv[i], "--eager-ackermann")) {
             opts.solver.eagerAckermann = true;
-        } else if (!strcmp(argv[i], "--inprocess") && i + 1 < argc) {
-            opts.solver.inprocessConflicts = static_cast<uint64_t>(
-                intArg("--inprocess", argv[++i], 0, LLONG_MAX));
         } else if (!strcmp(argv[i], "--profile-sat")) {
             opts.solver.profileSat = true;
         } else if (!strcmp(argv[i], "--trace-out") && i + 1 < argc) {
