@@ -166,7 +166,7 @@ class Parser
                 lex.peek().text == "reset" &&
                 lex.peek2().kind == Token::BvConst) {
                 lex.next();
-                reset = expect(Token::BvConst, "a reset value").bvValue;
+                reset = *expect(Token::BvConst, "a reset value").bvValue;
             }
             checked(head,
                     [&] { d.addRegister(name.text, width, reset); });
@@ -188,8 +188,8 @@ class Parser
                     break;
                 }
                 contents.push_back(
-                    expect(Token::BvConst, "a ROM entry or ')'")
-                        .bvValue);
+                    *expect(Token::BvConst, "a ROM entry or ')'")
+                         .bvValue);
             }
             checked(head, [&] {
                 d.addRom(name.text, aw, width, std::move(contents));
@@ -285,7 +285,7 @@ class Parser
         Token t = lex.next();
         Lexer::Nest nest(lex, t);
         if (t.kind == Token::BvConst)
-            return d.lit(t.bvValue);
+            return d.lit(*t.bvValue);
         if (t.kind == Token::Op && (t.text == "~" || t.text == "-")) {
             // The operand is parsed outside checked(): its own errors
             // are located already and must not be re-wrapped once per

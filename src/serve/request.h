@@ -55,7 +55,7 @@ struct JobResult
     std::string failedInstr; ///< instruction that broke the run
     double seconds = 0;      ///< wall time inside the session
     int iterations = 0;      ///< CEGIS iterations (fresh subproblems)
-    /** Per-request accounting (deltas, not process totals). */
+    /** Per-request accounting (this request's, not process totals). */
     uint64_t cacheHits = 0;
     uint64_t cacheMisses = 0;
     uint64_t sessionsReused = 0;

@@ -149,6 +149,9 @@ Server::processJob(const JobRequest &req)
         scope.attr("id", req.id);
     OWL_COUNTER_INC("serve.requests");
 
+    // The request counts its own cache and pool traffic, so results
+    // carry it whether or not obs records counters.
+    std::unique_ptr<WarmSessionPool::Binding> binding;
     try {
         const designs::CaseStudyMaker *maker =
             designs::findCaseStudyMaker(req.design);
@@ -163,7 +166,7 @@ Server::processJob(const JobRequest &req)
                                              cs.alpha);
             scope.attr("design_fp",
                        static_cast<int64_t>(dfp));
-            auto binding = pool_.bind(dfp, *maker);
+            binding = pool_.bind(dfp, *maker);
 
             synth::CegisOptions copts;
             copts.maxIterations = req.maxIterations;
@@ -186,10 +189,12 @@ Server::processJob(const JobRequest &req)
                 std::string key = cacheKey(
                     dfp, instrFingerprint(cs.spec, *instr));
                 if (auto cached = cache_.lookup(key)) {
+                    res.cacheHits++;
                     res.holes.emplace_back(instr->name(),
                                            std::move(*cached));
                     continue;
                 }
+                res.cacheMisses++;
                 // Cache miss: run CEGIS. No pin — matches the
                 // parallel strategy's semantics, so results are
                 // bit-identical whatever order requests arrive in
@@ -233,7 +238,13 @@ Server::processJob(const JobRequest &req)
         OWL_COUNTER_INC("serve.requests_errored");
     }
 
-    // Satellite: a panicking or cancelled request must not poison the
+    if (binding) {
+        res.sessionsReused = binding->reused();
+        res.sessionsCreated = binding->created();
+        binding.reset();
+    }
+
+    // A panicking or cancelled request must not poison the
     // next request's export. Close leftovers before reading deltas.
     res.spansAbandoned = scope.forceCloseAbandoned();
     if (res.spansAbandoned > 0)
@@ -243,10 +254,6 @@ Server::processJob(const JobRequest &req)
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       t0)
             .count();
-    res.cacheHits = scope.counterDelta("serve.cache.hits");
-    res.cacheMisses = scope.counterDelta("serve.cache.misses");
-    res.sessionsReused = scope.counterDelta("serve.sessions.reused");
-    res.sessionsCreated = scope.counterDelta("serve.sessions.created");
     scope.attr("status", res.status);
 
     if (!req.statsJson.empty()) {

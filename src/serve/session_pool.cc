@@ -104,6 +104,7 @@ WarmSessionPool::Binding::checkout(const std::string &instr_name,
                 std::move(it->second);
             slot.parked.erase(it);
             pool.reused++;
+            nReused++;
             s->beginReuse();
             OWL_COUNTER_INC("serve.sessions.reused");
             return s;
@@ -118,9 +119,24 @@ WarmSessionPool::Binding::checkout(const std::string &instr_name,
     {
         std::lock_guard<std::mutex> lock(pool.mu);
         pool.created++;
+        nCreated++;
     }
     OWL_COUNTER_INC("serve.sessions.created");
     return s;
+}
+
+uint64_t
+WarmSessionPool::Binding::reused() const
+{
+    std::lock_guard<std::mutex> lock(pool.mu);
+    return nReused;
+}
+
+uint64_t
+WarmSessionPool::Binding::created() const
+{
+    std::lock_guard<std::mutex> lock(pool.mu);
+    return nCreated;
 }
 
 void

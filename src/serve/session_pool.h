@@ -83,6 +83,11 @@ class WarmSessionPool
         void
         checkin(std::unique_ptr<synth::SynthSession> session) override;
 
+        /** Warm checkouts through this binding. */
+        uint64_t reused() const;
+        /** Sessions this binding's checkouts built. */
+        uint64_t created() const;
+
       private:
         friend class WarmSessionPool;
         Binding(WarmSessionPool &pool, struct PoolSlot &slot)
@@ -91,6 +96,8 @@ class WarmSessionPool
         }
         WarmSessionPool &pool;
         struct PoolSlot &slot;
+        uint64_t nReused = 0;  ///< guarded by pool.mu
+        uint64_t nCreated = 0; ///< guarded by pool.mu
     };
 
     /**

@@ -329,8 +329,8 @@ class SpecParser
                     break;
                 }
                 contents.push_back(
-                    expect(Token::BvConst, "a table entry or ')'")
-                        .bvValue);
+                    *expect(Token::BvConst, "a table entry or ')'")
+                         .bvValue);
             }
             checked(head, [&] {
                 return m.NewMemConst(name.text, aw, dw,
@@ -430,7 +430,7 @@ class SpecParser
         Token t = lex.next();
         Lexer::Nest nest(lex, t);
         if (t.kind == Token::BvConst)
-            return m.ctx().makeConst(t.bvValue);
+            return m.ctx().makeConst(*t.bvValue);
         if (t.kind == Token::Op && (t.text == "~" || t.text == "-")) {
             // As in the Oyster parser: the operand's errors are located
             // already and must not be re-wrapped per operator.

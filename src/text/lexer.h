@@ -21,6 +21,7 @@
 #include <cctype>
 #include <cstring>
 #include <deque>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -45,7 +46,8 @@ struct Token
     } kind = End;
     std::string text;
     int intValue = 0;
-    BitVec bvValue{1};
+    /** BvConst only: other tokens allocate no bitvector. */
+    std::optional<BitVec> bvValue;
     int line = 1, col = 1;
 
     /** Human-readable rendering for diagnostics. */
@@ -54,7 +56,7 @@ struct Token
         if (kind == End)
             return "end of input";
         if (kind == BvConst)
-            return bvValue.toString();
+            return bvValue->toString();
         return text;
     }
 };

@@ -12,7 +12,9 @@
 
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <initializer_list>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -24,7 +26,10 @@
 
 #include "core/synthesis.h"
 #include "designs/registry.h"
+#include "fuzz/generate.h"
+#include "ila/ila.h"
 #include "obs/obs.h"
+#include "oyster/printer.h"
 #include "serve/cache.h"
 #include "serve/fingerprint.h"
 #include "serve/request.h"
@@ -143,6 +148,302 @@ TEST(ServeFingerprint, StableAcrossRebuilds)
         EXPECT_EQ(instrFingerprint(a->spec, *instr),
                   instrFingerprint(b->spec,
                                    b->spec.instr(instr->name())));
+}
+
+namespace
+{
+
+using oyster::Decl;
+using oyster::DeclKind;
+using oyster::Design;
+using oyster::ExOp;
+using oyster::Expr;
+using oyster::ExprRef;
+using oyster::Stmt;
+
+/** The single edits SketchKeyMatchesPrintedText makes to a sketch. */
+enum class SketchEdit
+{
+    None,
+    ConstBit,     ///< flip bit 0 of the first constant
+    SwapOperands, ///< swap the operands of the first same-width binop
+    ZextWidth,    ///< widen the probe's zext by one bit
+    DeclWidth,    ///< widen the spare wire by one bit
+    ResetValue,   ///< flip bit 0 of the first register's reset value
+    RomWord,      ///< flip bit 0 of the first ROM's first word
+    HoleDep,      ///< rename the last dep of the first hole with deps
+    AddStmt,      ///< assign the spare wire
+    Generated,    ///< flip every statement's `generated` flag
+};
+
+const char *
+editName(SketchEdit e)
+{
+    static const char *names[] = {
+        "none",        "const-bit",   "swap-operands", "zext-width",
+        "decl-width",  "reset-value", "rom-word",      "hole-dep",
+        "add-stmt",    "generated"};
+    return names[static_cast<int>(e)];
+}
+
+BitVec
+flipBit0(BitVec v)
+{
+    v.setBit(0, !v.getBit(0));
+    return v;
+}
+
+/** Binary operators whose two operands have equal widths. */
+bool
+swappable(const Design &d, const Expr &e)
+{
+    switch (e.op) {
+      case ExOp::And: case ExOp::Or: case ExOp::Xor: case ExOp::Add:
+      case ExOp::Sub: case ExOp::Mul: case ExOp::Clmul:
+      case ExOp::Clmulh: case ExOp::Eq: case ExOp::Ne: case ExOp::Ult:
+      case ExOp::Ule: case ExOp::Slt: case ExOp::Sle:
+        return e.kids[0].idx != e.kids[1].idx &&
+               d.exprWidth(e.kids[0]) == d.exprWidth(e.kids[1]);
+      default:
+        return false;
+    }
+}
+
+/** Node `e` rebuilt in `out` over the copied kids `k`. */
+ExprRef
+remake(Design &out, const Expr &e, std::vector<ExprRef> k)
+{
+    using Binop = ExprRef (Design::*)(ExprRef, ExprRef);
+    static const std::map<ExOp, Binop> binops = {
+        {ExOp::And, &Design::opAnd},       {ExOp::Or, &Design::opOr},
+        {ExOp::Xor, &Design::opXor},       {ExOp::Add, &Design::opAdd},
+        {ExOp::Sub, &Design::opSub},       {ExOp::Mul, &Design::opMul},
+        {ExOp::Clmul, &Design::opClmul},   {ExOp::Clmulh, &Design::opClmulh},
+        {ExOp::Eq, &Design::opEq},         {ExOp::Ne, &Design::opNe},
+        {ExOp::Ult, &Design::opUlt},       {ExOp::Ule, &Design::opUle},
+        {ExOp::Slt, &Design::opSlt},       {ExOp::Sle, &Design::opSle},
+        {ExOp::Concat, &Design::opConcat}, {ExOp::Shl, &Design::opShl},
+        {ExOp::Lshr, &Design::opLshr},     {ExOp::Ashr, &Design::opAshr},
+        {ExOp::Rol, &Design::opRol},       {ExOp::Ror, &Design::opRor},
+    };
+    if (auto it = binops.find(e.op); it != binops.end())
+        return (out.*it->second)(k[0], k[1]);
+    switch (e.op) {
+      case ExOp::Var: return out.var(e.name);
+      case ExOp::Const: return out.lit(e.cval);
+      case ExOp::Not: return out.opNot(k[0]);
+      case ExOp::Neg: return out.opNeg(k[0]);
+      case ExOp::Ite: return out.opIte(k[0], k[1], k[2]);
+      case ExOp::Extract: return out.opExtract(k[0], e.a, e.b);
+      case ExOp::ZExt: return out.opZExt(k[0], e.width);
+      case ExOp::SExt: return out.opSExt(k[0], e.width);
+      case ExOp::Read: return out.opRead(e.name, k[0]);
+      default: ADD_FAILURE() << "unhandled op"; return k[0];
+    }
+}
+
+/**
+ * `d` rebuilt through the builder API with `edit` made at its first
+ * site. With `share` off every use of a subexpression is a fresh copy,
+ * so the result is the tree the printer writes. Every rebuild also
+ * declares two wires as sites for the width edits: a probe assigned
+ * `zext(1'h1, 8)[3:0]` and a spare left unassigned.
+ */
+Design
+rebuild(const Design &d, SketchEdit edit, bool share = true)
+{
+    Design out(d.name());
+    bool reset_done = false, rom_done = false, dep_done = false;
+    for (const Decl &dc : d.decls()) {
+        switch (dc.kind) {
+          case DeclKind::Input: out.addInput(dc.name, dc.width); break;
+          case DeclKind::Output: out.addOutput(dc.name, dc.width); break;
+          case DeclKind::Wire: out.addWire(dc.name, dc.width); break;
+          case DeclKind::Memory:
+            out.addMemory(dc.name, dc.addrWidth, dc.width);
+            break;
+          case DeclKind::Register: {
+            bool here = edit == SketchEdit::ResetValue && !reset_done;
+            reset_done |= here;
+            out.addRegister(dc.name, dc.width,
+                            here ? flipBit0(dc.resetValue)
+                                 : dc.resetValue);
+            break;
+          }
+          case DeclKind::Rom: {
+            std::vector<BitVec> words = dc.romContents;
+            if (edit == SketchEdit::RomWord && !rom_done &&
+                !words.empty()) {
+                words[0] = flipBit0(words[0]);
+                rom_done = true;
+            }
+            out.addRom(dc.name, dc.addrWidth, dc.width, words);
+            break;
+          }
+          case DeclKind::Hole: {
+            std::vector<std::string> deps = dc.holeDeps;
+            if (edit == SketchEdit::HoleDep && !dep_done &&
+                !deps.empty()) {
+                deps.back() = "owl_fp_probe";
+                dep_done = true;
+            }
+            out.addHole(dc.name, dc.width, deps);
+            break;
+          }
+        }
+    }
+    out.addWire("owl_fp_probe", 4);
+    out.addWire("owl_fp_spare", edit == SketchEdit::DeclWidth ? 9 : 8);
+
+    std::vector<ExprRef> memo(d.exprCount());
+    int32_t site = -1;
+    std::function<ExprRef(ExprRef)> copy = [&](ExprRef r) {
+        if (share && memo[r.idx].valid())
+            return memo[r.idx];
+        const Expr &e = d.expr(r);
+        std::vector<ExprRef> k;
+        for (ExprRef kid : e.kids)
+            k.push_back(copy(kid));
+        if (site < 0 &&
+            ((edit == SketchEdit::ConstBit && e.op == ExOp::Const) ||
+             (edit == SketchEdit::SwapOperands && swappable(d, e))))
+            site = r.idx;
+        ExprRef c;
+        if (site == r.idx && edit == SketchEdit::ConstBit) {
+            c = out.lit(flipBit0(e.cval));
+        } else {
+            if (site == r.idx)
+                std::swap(k[0], k[1]);
+            c = remake(out, e, std::move(k));
+        }
+        if (share)
+            memo[r.idx] = c;
+        return c;
+    };
+    for (const Stmt &s : d.stmts()) {
+        bool gen = s.generated != (edit == SketchEdit::Generated);
+        if (s.kind == Stmt::Assign) {
+            out.assign(s.target, copy(s.value), gen);
+        } else {
+            ExprRef addr = copy(s.addr);
+            ExprRef data = copy(s.data);
+            out.memWrite(s.mem, addr, data, copy(s.enable), gen);
+        }
+    }
+    int zext = edit == SketchEdit::ZextWidth ? 9 : 8;
+    out.assign("owl_fp_probe",
+               out.opExtract(out.opZExt(out.lit(1, 1), zext), 3, 0));
+    if (edit == SketchEdit::AddStmt)
+        out.assign("owl_fp_spare", out.lit(8, 0));
+    return out;
+}
+
+} // namespace
+
+TEST(ServeFingerprint, SketchKeyMatchesPrintedText)
+{
+    // The sketch key must tell sketches apart exactly as their printed
+    // text does: a shared DAG and its unfolded tree print alike and
+    // must hash alike; each single edit below changes the key exactly
+    // when it changes the text (the `generated` flag is not printed).
+    std::vector<std::pair<std::string, Design>> inputs;
+    for (const std::string &name : designs::caseStudyNames()) {
+        auto a = designs::makeCaseStudy(name);
+        auto b = designs::makeCaseStudy(name);
+        ASSERT_TRUE(a && b) << name;
+        EXPECT_EQ(designFingerprint(a->sketch, a->spec, a->alpha),
+                  designFingerprint(b->sketch, b->spec, b->alpha))
+            << name;
+        inputs.emplace_back(name, std::move(a->sketch));
+    }
+    for (uint64_t seed = 1; seed <= 200; seed++) {
+        text::Bundle a = fuzz::generateBundle(seed);
+        text::Bundle b = fuzz::generateBundle(seed);
+        ASSERT_TRUE(a.design && b.design) << seed;
+        EXPECT_EQ(sketchFingerprint(*a.design),
+                  sketchFingerprint(*b.design))
+            << "seed " << seed;
+        inputs.emplace_back("seed " + std::to_string(seed),
+                            std::move(*a.design));
+    }
+
+    std::map<SketchEdit, int> changed;
+    for (const auto &[name, d] : inputs) {
+        SCOPED_TRACE(name);
+        Design base = rebuild(d, SketchEdit::None);
+        std::string text = oyster::printOyster(base);
+        uint64_t key = sketchFingerprint(base);
+        Design tree = rebuild(d, SketchEdit::None, /*share=*/false);
+        EXPECT_EQ(oyster::printOyster(tree), text);
+        EXPECT_EQ(sketchFingerprint(tree), key);
+        for (int i = 1; i <= static_cast<int>(SketchEdit::Generated);
+             i++) {
+            auto edit = static_cast<SketchEdit>(i);
+            Design edited = rebuild(d, edit);
+            bool same_text = oyster::printOyster(edited) == text;
+            EXPECT_EQ(sketchFingerprint(edited) == key, same_text)
+                << editName(edit);
+            changed[edit] += same_text ? 0 : 1;
+        }
+    }
+    // Every printed edit found a site somewhere; the flag never shows.
+    for (int i = 1; i <= static_cast<int>(SketchEdit::Generated); i++) {
+        auto edit = static_cast<SketchEdit>(i);
+        if (edit == SketchEdit::Generated)
+            EXPECT_EQ(changed[edit], 0);
+        else
+            EXPECT_GT(changed[edit], 0) << editName(edit);
+    }
+}
+
+TEST(ServeFingerprint, LinearInTheDag)
+{
+    // x := e64 with e_{i+1} = e_i + e_i: 65 nodes whose printed form
+    // would be 2^64 terms long. A walk that unfolds the DAG never ends.
+    auto doubling = [](int levels) {
+        Design d("doubling");
+        d.addInput("a", 8);
+        d.addOutput("x", 8);
+        ExprRef e = d.var("a");
+        for (int i = 0; i < levels; i++)
+            e = d.opAdd(e, e);
+        d.assign("x", e);
+        return sketchFingerprint(d);
+    };
+    EXPECT_EQ(doubling(64), doubling(64));
+    EXPECT_NE(doubling(64), doubling(63));
+
+    // A builder-made chain 100k levels deep hashes without recursing
+    // per level (the deep fingerprint sanitizer entries run this).
+    auto chain = [](int levels) {
+        Design d("deep");
+        d.addInput("a", 1);
+        d.addOutput("q", 1);
+        ExprRef e = d.var("a");
+        for (int i = 0; i < levels; i++)
+            e = d.opNot(e);
+        d.assign("q", e);
+        return sketchFingerprint(d);
+    };
+    EXPECT_EQ(chain(100000), chain(100000));
+    EXPECT_NE(chain(100000), chain(100001));
+}
+
+TEST(ServeFingerprint, DeepIlaUpdateHashesWithoutRecursing)
+{
+    auto chain = [](int levels) {
+        ila::Ila m("deep");
+        ila::IlaExpr x = m.NewBvState("x", 8);
+        ila::IlaExpr e = x;
+        for (int i = 0; i < levels; i++)
+            e = !e;
+        ila::Instr &flip = m.NewInstr("flip");
+        flip.SetDecode(x == x);
+        flip.SetUpdate(x, e);
+        return instrFingerprint(m, flip);
+    };
+    EXPECT_EQ(chain(100000), chain(100000));
+    EXPECT_NE(chain(100000), chain(100001));
 }
 
 TEST(ServeFingerprint, DistinguishesDesignsAndInstructions)
@@ -461,6 +762,38 @@ TEST(ServeServer, WarmSessionsKickInWhenCacheEvicts)
     EXPECT_GT(results[1].sessionsReused, 0u);
     EXPECT_EQ(holesString(results[0].holes),
               holesString(results[1].holes));
+}
+
+TEST(ServeServer, RequestCountsDoNotNeedObs)
+{
+    // Each request counts its own cache and pool traffic: with
+    // recording switched off the results still carry it.
+    struct ObsOff
+    {
+        bool was = obs::enabled();
+        ObsOff() { obs::setEnabled(false); }
+        ~ObsOff() { obs::setEnabled(was); }
+    } off;
+    {
+        Server server;
+        std::vector<JobResult> results =
+            server.runBatch({job("accumulator"), job("accumulator")});
+        ASSERT_EQ(results[0].status, "ok");
+        ASSERT_EQ(results[1].status, "ok");
+        size_t n_instr = results[0].holes.size();
+        EXPECT_EQ(results[0].cacheMisses, n_instr);
+        EXPECT_EQ(results[0].sessionsCreated, n_instr);
+        EXPECT_EQ(results[1].cacheHits, n_instr);
+        EXPECT_EQ(results[1].sessionsCreated, 0u);
+    }
+    ServerOptions sopts;
+    sopts.cacheBytes = 1; // keeps at most one entry
+    Server server(sopts);
+    std::vector<JobResult> results =
+        server.runBatch({job("accumulator"), job("accumulator")});
+    ASSERT_EQ(results[1].status, "ok");
+    EXPECT_GT(results[1].cacheMisses, 0u);
+    EXPECT_EQ(results[1].sessionsReused, results[1].cacheMisses);
 }
 
 TEST(ServeServer, BadRequestAndErrorDoNotPoisonTheSession)

@@ -14,6 +14,7 @@
 #include "designs/registry.h"
 #include "text/bundle.h"
 #include "text/ila_text.h"
+#include "text/lexer.h"
 
 using namespace owl;
 using namespace owl::text;
@@ -32,6 +33,23 @@ expectIlaRoundTrip(const ila::Ila &spec)
 }
 
 } // namespace
+
+TEST(Lexer, OnlyBitvectorConstantsCarryABitvector)
+{
+    std::string src = "acc := (acc + 8'h3f) 12";
+    Lexer lex(src, "test");
+    std::vector<Token> toks;
+    while (!lex.atEnd())
+        toks.push_back(lex.next());
+    ASSERT_EQ(toks.size(), 8u);
+    for (const Token &t : toks) {
+        EXPECT_EQ(t.bvValue.has_value(), t.kind == Token::BvConst)
+            << t.display();
+    }
+    EXPECT_EQ(toks[5].display(), "8'h3f");
+    EXPECT_EQ(*toks[5].bvValue, BitVec(8, 0x3f));
+    EXPECT_EQ(toks[7].intValue, 12);
+}
 
 TEST(IlaText, RoundTripsAllCaseStudySpecs)
 {
