@@ -264,8 +264,8 @@ buildCexConstraint(const oyster::Design &sketch, const ila::Ila &spec,
 /**
  * Fix the candidate to the lexicographically-minimal hole assignment
  * of the current (satisfiable) synth query: holes in name order, bits
- * msb-to-lsb, each bit probed with an assumption and pinned to 0 when
- * a solution with that prefix exists.
+ * msb-to-lsb, each bit pinned to 0 when a solution with that prefix
+ * exists.
  *
  * The point is determinism across solving strategies: which model a
  * SAT solver returns depends on learned clauses, activities, and
@@ -275,38 +275,78 @@ buildCexConstraint(const oyster::Design &sketch, const ila::Ila &spec,
  * alone, so both paths — and a warm session reused from serve's pool
  * — land on bit-identical candidates, which keeps the whole CEGIS
  * trajectory (counterexamples included) reproducible.
- * Probes are assumption-only solves on a warm solver, typically pure
- * propagation after the initial model.
+ *
+ * Model-guided: the caller's last check() was Sat, and the hole bits
+ * of the latest Sat model satisfy the formula under the prefix fixed
+ * so far. A bit that model has at 0 can be 0, so it is pinned with no
+ * solve; only a bit the model has at 1 (or does not cover) is probed
+ * with an assumption, and a Sat probe's model replaces the old one.
+ * The hole bits are copied right after each Sat check, never read
+ * after a later Unsat: the lazy-Ackermann loop can leave an unclean
+ * model behind (IncrementalContext::modelValue).
  */
 SynthStatus
 canonicalizeHoles(smt::IncrementalContext &ctx,
                   const std::map<std::string, TermRef> &hole_vars,
                   const CegisOptions &opts, HoleValues &candidate)
 {
-    std::vector<sat::Lit> fixed;
+    obs::ScopedSpan span("cegis.lexmin");
+    span.attr("memo", 0);
+    // Every hole bit in lexmin order: holes by name, msb first.
+    std::vector<sat::Lit> bits;
+    std::vector<int> widths;
     for (const auto &[name, var] : hole_vars) {
         std::vector<sat::Lit> lits = ctx.literalsOf(var);
-        BitVec value(static_cast<int>(lits.size()));
-        for (int b = static_cast<int>(lits.size()) - 1; b >= 0; b--) {
-            // Honor the run's budget between probes: each probe is
-            // usually pure propagation, well below the CDCL deadline
-            // stride, so without this check a long probe sequence
-            // could overrun an already-expired deadline.
-            if (opts.expired())
-                return SynthStatus::Timeout;
-            fixed.push_back(~lits[b]);
-            smt::CheckResult r =
-                ctx.check(nullptr, opts.solveLimits(), nullptr, fixed);
-            if (r == smt::CheckResult::Unknown)
-                return SynthStatus::Timeout;
-            if (r == smt::CheckResult::Unsat) {
-                // No solution has this bit 0 under the fixed prefix:
-                // it is 1 in every remaining solution.
-                fixed.back() = lits[b];
-                value.setBit(b, true);
-            }
+        bits.insert(bits.end(), lits.rbegin(), lits.rend());
+        widths.push_back(static_cast<int>(lits.size()));
+    }
+    std::vector<std::optional<bool>> model(bits.size());
+    auto copyModel = [&] {
+        for (size_t i = 0; i < bits.size(); i++)
+            model[i] = ctx.modelValue(bits[i]);
+    };
+    copyModel();
+
+    std::vector<sat::Lit> fixed;
+    uint64_t probes = 0;
+    for (size_t i = 0; i < bits.size(); i++) {
+        fixed.push_back(~bits[i]);
+        if (model[i] == false)
+            continue;
+        // Honor the run's budget between probes: each probe is
+        // usually pure propagation, well below the CDCL deadline
+        // stride, so without this check a long probe sequence could
+        // overrun an already-expired deadline.
+        if (opts.expired())
+            return SynthStatus::Timeout;
+        probes++;
+        smt::CheckResult r =
+            ctx.check(nullptr, opts.solveLimits(), nullptr, fixed);
+        if (r == smt::CheckResult::Unknown)
+            return SynthStatus::Timeout;
+        if (r == smt::CheckResult::Sat) {
+            copyModel();
+        } else {
+            // No solution has this bit 0 under the fixed prefix: it is
+            // 1 in every remaining solution. A model that did not
+            // cover the bit says nothing about the prefix with it at
+            // 1, so it is dropped until the next Sat probe.
+            fixed.back() = bits[i];
+            if (!model[i].has_value())
+                std::fill(model.begin(), model.end(), std::nullopt);
         }
+    }
+    span.attr("probes", probes);
+    span.attr("skipped", bits.size() - probes);
+
+    size_t i = 0;
+    auto width = widths.begin();
+    for (const auto &[name, var] : hole_vars) {
+        BitVec value(*width);
+        for (int b = *width - 1; b >= 0; b--, i++)
+            value.setBit(b, fixed[i] == bits[i]);
         candidate[name] = value;
+        ++width;
     }
     return SynthStatus::Ok;
 }
@@ -340,6 +380,18 @@ SynthSession::addCex(const Counterexample &cex)
 SynthStatus
 SynthSession::solve(HoleValues &candidate, const CegisOptions &opts)
 {
+    // addGroup dedups replayed batches, so an unchanged count is an
+    // unchanged group set. Lazy Ackermann lemmas learned since are
+    // consequences the eager encoding carries from the start, so they
+    // do not move the lexmin either.
+    if (ctx.numGroups() == memoGroups) {
+        obs::ScopedSpan span("cegis.lexmin");
+        span.attr("memo", 1);
+        span.attr("probes", 0);
+        span.attr("skipped", 0);
+        candidate = memo;
+        return SynthStatus::Ok;
+    }
     if (opts.expired())
         return SynthStatus::Timeout;
     smt::CheckResult r = ctx.check(nullptr, opts.solveLimits());
@@ -351,7 +403,12 @@ SynthSession::solve(HoleValues &candidate, const CegisOptions &opts)
       case smt::CheckResult::Sat:
         break;
     }
-    return canonicalizeHoles(ctx, holeVars, opts, candidate);
+    SynthStatus s = canonicalizeHoles(ctx, holeVars, opts, candidate);
+    if (s == SynthStatus::Ok) {
+        memoGroups = ctx.numGroups();
+        memo = candidate;
+    }
+    return s;
 }
 
 SynthStatus
@@ -477,6 +534,20 @@ InstrSynthesizer::synthesize(const ila::Instr &instr,
                         " iterations=", result.iterations);
         return result;
     };
+
+    // Warm start: a checked-out session's counterexamples are genuine
+    // for this instruction, so every correct assignment satisfies them
+    // and their lexmin is a sound first candidate (and an Unsat there
+    // a sound Unsat). If it verifies, it is the lexmin of the correct
+    // assignments, the same holes a cold run ends on. A pin is tried
+    // as given instead: pin-and-relax keeps the pin when it verifies.
+    const bool warm_start = !pin && session && session->groups() > 0;
+    span.attr("warm_start", warm_start ? 1 : 0);
+    if (warm_start) {
+        SynthStatus s = session->solve(candidate, opts);
+        if (s != SynthStatus::Ok)
+            return finish(s);
+    }
 
     std::vector<Counterexample> cexes;
     for (int iter = 0; iter < opts.maxIterations; iter++) {

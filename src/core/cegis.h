@@ -7,7 +7,8 @@
  * guess-and-verify loop that realizes Rosette's `synthesize` on top of
  * a plain satisfiability oracle:
  *
- *   candidate := pin (previous instruction's values) or all-zeros
+ *   candidate := pin (previous instruction's values), else a warm
+ *                session's lexmin candidate, else all-zeros
  *   loop:
  *     verify:  holes := candidate (constants fold through the whole
  *              datapath); SAT(Pre ∧ assumes ∧ ¬Post)?
@@ -103,9 +104,11 @@ struct CegisOptions
      * Optional warm-session pool (serve's amortization path). When
      * set and incremental mode is on, synthesize() checks out an
      * existing SynthSession for the instruction instead of building a
-     * fresh one, and returns it at the end whatever the outcome.
-     * Lexmin canonicalization keeps warm-session results bit-identical
-     * to cold ones (DESIGN.md §11). May be null (the default).
+     * fresh one, and returns it at the end whatever the outcome. An
+     * unpinned run on a session that has groups starts from that
+     * session's lexmin candidate instead of all-zeros. Lexmin
+     * canonicalization keeps warm-session results bit-identical to
+     * cold ones (DESIGN.md §11). May be null (the default).
      */
     SynthSessionPool *sessionPool = nullptr;
 
@@ -210,7 +213,10 @@ class SynthSession
 
     /**
      * Solve everything added so far and write the lexicographically
-     * minimal hole assignment into candidate.
+     * minimal hole assignment into candidate. The lexmin is a property
+     * of the group set, so while no group has been added since the
+     * last canonicalization that succeeded, its candidate is returned
+     * with no solver call (a warm checkout's first solve lands here).
      */
     SynthStatus solve(HoleValues &candidate, const CegisOptions &opts);
 
@@ -234,6 +240,9 @@ class SynthSession
     smt::TermTable tt;
     std::map<std::string, smt::TermRef> holeVars;
     smt::IncrementalContext ctx;
+    /** Group count when memo was canonicalized; -1 = no memo. */
+    int memoGroups = -1;
+    HoleValues memo;
 };
 
 /**

@@ -377,7 +377,7 @@ checkMutualExclusion(const oyster::Design &design, const ila::Ila &spec,
 {
     obs::ScopedSpan span("mutex_check");
     // Decode conditions only touch the pre-state, so one symbolic run
-    // serves all pairwise checks. Holes (if the design is still a
+    // serves all the checks. Holes (if the design is still a
     // sketch) become fresh variables; decode conditions cannot depend
     // on them under instruction independence condition 2.
     TermTable tt;
@@ -397,7 +397,18 @@ checkMutualExclusion(const oyster::Design &design, const ila::Ila &spec,
         pres.push_back(sc.compileInstr(*i).pre);
         names.push_back(i->name());
     }
-    for (size_t a = 0; a < pres.size(); a++) {
+    // One query per instruction: pre[a] against later[a] = pre[a+1] ∨
+    // ... ∨ pre[n-1] (shared suffixes). Unsat clears all of a's pairs
+    // at once; only Sat or Unknown falls back to a's pairs one by one,
+    // so the first failing pair (and a Timeout) is the one the
+    // pairwise order reports.
+    std::vector<TermRef> later(pres.size(), tt.falseTerm());
+    for (size_t b = pres.size(); b-- > 1;)
+        later[b - 1] = tt.mkOr(pres[b], later[b]);
+    for (size_t a = 0; a + 1 < pres.size(); a++) {
+        if (smt::checkSat(tt, {tt.mkAnd(pres[a], later[a])}, nullptr,
+                          opts.solveLimits()) == CheckResult::Unsat)
+            continue;
         for (size_t b = a + 1; b < pres.size(); b++) {
             CheckResult r =
                 smt::checkSat(tt, {tt.mkAnd(pres[a], pres[b])},

@@ -47,6 +47,8 @@ walkUnhashed(int32_t root, Kid kid, Hashed hashed, Hash hash)
     }
 }
 
+} // namespace
+
 /**
  * Memoized structural hash over one IlaContext's expression pool.
  * State/input leaves hash the referenced state's *content* (name,
@@ -117,6 +119,9 @@ class ExprHasher
         return f.value();
     }
 };
+
+namespace
+{
 
 /**
  * Memoized structural hash over one Oyster design's expression pool,
@@ -263,18 +268,30 @@ designFingerprint(const oyster::Design &sketch, const ila::Ila &spec,
 uint64_t
 instrFingerprint(const ila::Ila &spec, const ila::Instr &instr)
 {
+    return InstrFingerprinter(spec)(instr);
+}
+
+InstrFingerprinter::InstrFingerprinter(const ila::Ila &spec)
+    : hasher(std::make_unique<ExprHasher>(spec.ctx()))
+{
+}
+
+InstrFingerprinter::~InstrFingerprinter() = default;
+
+uint64_t
+InstrFingerprinter::operator()(const ila::Instr &instr)
+{
     Fnv64 f;
-    ExprHasher hasher(spec.ctx());
     f.str(instr.name());
     f.u64(instr.hasDecode() ? 1 : 0);
     if (instr.hasDecode())
-        f.u64(hasher.hash(instr.decode().idx()));
+        f.u64(hasher->hash(instr.decode().idx()));
     f.u64(instr.updates().size());
     for (const ila::Update &u : instr.updates()) {
         Fnv64 state;
-        hasher.hashState(state, u.stateIdx);
+        hasher->hashState(state, u.stateIdx);
         f.u64(state.value());
-        f.u64(hasher.hash(u.value.idx()));
+        f.u64(hasher->hash(u.value.idx()));
     }
     return f.value();
 }

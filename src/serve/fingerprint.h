@@ -34,6 +34,7 @@
 #define OWL_SERVE_FINGERPRINT_H
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "core/absfunc.h"
@@ -95,6 +96,27 @@ uint64_t designFingerprint(const oyster::Design &sketch,
  */
 uint64_t instrFingerprint(const ila::Ila &spec,
                           const ila::Instr &instr);
+
+class ExprHasher;
+
+/**
+ * instrFingerprint for many instructions of one spec, with one memo
+ * over its expression pool: the instructions' decode and update DAGs
+ * share most of their nodes, so a request that fingerprints all of
+ * them hashes each node once. Returns exactly what instrFingerprint
+ * returns. The spec must outlive it.
+ */
+class InstrFingerprinter
+{
+  public:
+    explicit InstrFingerprinter(const ila::Ila &spec);
+    ~InstrFingerprinter();
+
+    uint64_t operator()(const ila::Instr &instr);
+
+  private:
+    std::unique_ptr<ExprHasher> hasher;
+};
 
 /**
  * The cache key for one per-instruction subproblem:

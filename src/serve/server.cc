@@ -159,7 +159,7 @@ Server::processJob(const JobRequest &req)
             res.status = "bad-request";
             res.error = "unknown design \"" + req.design + "\"";
         } else {
-            // Request-local design objects: synthesis mutates the
+            // Request-local design objects: verification mutates the
             // sketch (control union), so each request gets its own.
             designs::CaseStudy cs = (*maker)();
             uint64_t dfp = designFingerprint(cs.sketch, cs.spec,
@@ -179,6 +179,7 @@ Server::processJob(const JobRequest &req)
 
             synth::InstrSynthesizer synth(cs.sketch, cs.spec,
                                           cs.alpha);
+            InstrFingerprinter instr_fp(cs.spec);
             for (const auto &instr : cs.spec.instrs()) {
                 if (copts.expired()) {
                     res.status = "timeout";
@@ -186,8 +187,7 @@ Server::processJob(const JobRequest &req)
                     break;
                 }
                 OWL_COUNTER_INC("serve.instr_queries");
-                std::string key = cacheKey(
-                    dfp, instrFingerprint(cs.spec, *instr));
+                std::string key = cacheKey(dfp, instr_fp(*instr));
                 if (auto cached = cache_.lookup(key)) {
                     res.cacheHits++;
                     res.holes.emplace_back(instr->name(),
@@ -211,21 +211,21 @@ Server::processJob(const JobRequest &req)
                 res.holes.emplace_back(instr->name(),
                                        std::move(r.holes));
             }
-            if (res.ok()) {
+            // The reply carries holes, not the completed design, so
+            // only verification needs the control union.
+            if (res.ok() && req.verify) {
                 synth::applyControlUnion(cs.sketch, cs.spec, cs.alpha,
                                          res.holes);
-                if (req.verify) {
-                    // One job: the sessions are serve's parallelism,
-                    // and every session fanning out to nproc threads
-                    // would oversubscribe the machine.
-                    std::string failed;
-                    synth::SynthStatus v = synth::verifyDesign(
-                        cs.sketch, cs.spec, cs.alpha, &failed, copts,
-                        /*jobs=*/1);
-                    if (v != synth::SynthStatus::Ok) {
-                        res.status = "verify-failed";
-                        res.failedInstr = failed;
-                    }
+                // One job: the sessions are serve's parallelism, and
+                // every session fanning out to nproc threads would
+                // oversubscribe the machine.
+                std::string failed;
+                synth::SynthStatus v = synth::verifyDesign(
+                    cs.sketch, cs.spec, cs.alpha, &failed, copts,
+                    /*jobs=*/1);
+                if (v != synth::SynthStatus::Ok) {
+                    res.status = "verify-failed";
+                    res.failedInstr = failed;
                 }
             }
         }

@@ -237,6 +237,7 @@ IncrementalContext::check(Model *model, const SolveLimits &limits,
     uint64_t q_start = obs::enabled() ? obs::nowNs() : 0;
 
     lastConditional = false;
+    modelVars = 0;
     if (rootUnsat) {
         if (sessionPolicy.checkProofs)
             OWL_COUNTER_INC("drat.unsat_trivial");
@@ -385,12 +386,21 @@ IncrementalContext::check(Model *model, const SolveLimits &limits,
         break;
     }
 
+    modelVars = solver->numVars();
     if (model) {
         model->leafValues.clear();
         for (TermRef t : modelLeaves)
             model->leafValues.emplace(t.idx, blaster->modelValue(t));
     }
     return CheckResult::Sat;
+}
+
+std::optional<bool>
+IncrementalContext::modelValue(sat::Lit l) const
+{
+    if (l.var() >= modelVars)
+        return std::nullopt;
+    return solver->modelValue(l.var()) != l.negated();
 }
 
 std::vector<int>

@@ -34,6 +34,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -181,6 +182,17 @@ class IncrementalContext
     std::vector<sat::Lit> literalsOf(TermRef t);
 
     /**
+     * A literal's value in the model of the most recent check(), or
+     * nullopt when that check was not Sat or the literal's variable is
+     * newer than the model (literalsOf() can blast fresh variables
+     * after a solve). Read it right after the Sat check it belongs
+     * to: a lazy-Ackermann round inside a later Unsat check can leave
+     * an intermediate, congruence-violating model in the solver, which
+     * this accessor then refuses to expose.
+     */
+    std::optional<bool> modelValue(sat::Lit l) const;
+
+    /**
      * True when the most recent check() returned Unsat only under the
      * activation-literal assumptions (the session formula itself is
      * not refuted; no proof obligation).
@@ -244,6 +256,8 @@ class IncrementalContext
     AckermannManager ack;
 
     bool lastConditional = false;
+    /** Variables the last check()'s model covers; 0 unless it was Sat. */
+    int modelVars = 0;
     IncrementalStats istats;
 
     /** Distinct term-DAG nodes reachable from the roots. */

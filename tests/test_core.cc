@@ -24,6 +24,7 @@
 #include "designs/alu_machine.h"
 #include "designs/registry.h"
 #include "core/synthesis.h"
+#include "ila/ila.h"
 #include "obs/obs.h"
 #include "oyster/interp.h"
 #include "oyster/printer.h"
@@ -495,6 +496,87 @@ TEST(CoreVerify, ReportsFirstWrongInstructionInOrder)
                                expired, jobs),
                   SynthStatus::Timeout);
         EXPECT_EQ(failed, "NOP");
+    }
+}
+
+namespace
+{
+
+using DecodeOf = std::function<ila::IlaExpr(ila::Ila &, const ila::IlaExpr &)>;
+
+/**
+ * checkMutualExclusion over a one-register datapath whose spec has
+ * one instruction per entry of `decodes`, named A, B, ... in order,
+ * each decoding the 3-bit input op with its function.
+ */
+SynthStatus
+mutexOf(const std::vector<DecodeOf> &decodes, std::string *pair)
+{
+    ila::Ila spec("overlap");
+    ila::IlaExpr op = spec.NewBvInput("op", 3);
+    ila::IlaExpr acc = spec.NewBvState("acc", 8);
+    for (size_t i = 0; i < decodes.size(); i++) {
+        ila::Instr &in = spec.NewInstr(std::string(1, char('A' + i)));
+        in.SetDecode(decodes[i](spec, op));
+        in.SetUpdate(acc, acc);
+    }
+    oyster::Design d("overlap_dp");
+    d.addInput("op", 3);
+    d.addRegister("acc", 8);
+    d.assign("acc", d.var("acc"));
+    AbsFunc alpha;
+    alpha.map("op", "op", MapType::Input, {{Effect::Read, 1}});
+    alpha.map("acc", "acc", MapType::Register,
+              {{Effect::Read, 1}, {Effect::Write, 1}});
+    alpha.withCycles(1);
+    return checkMutualExclusion(d, spec, alpha, pair);
+}
+
+DecodeOf
+opIs(uint64_t v)
+{
+    return [v](ila::Ila &spec, const ila::IlaExpr &op) {
+        return op == ila::BvConst(spec.ctx(), v, 3);
+    };
+}
+
+} // namespace
+
+TEST(CoreVerify, OverlappingDecodesReportTheFirstPairInOrder)
+{
+    // One query clears an instruction against every later one; only a
+    // Sat one falls back to pairs. The pair reported must still be the
+    // first overlapping one in (first, second) order, as a scan of all
+    // pairs finds it.
+    DecodeOf odd = [](ila::Ila &spec, const ila::IlaExpr &op) {
+        return ila::Extract(op, 0, 0) == ila::BvConst(spec.ctx(), 1, 1);
+    };
+    DecodeOf low = [](ila::Ila &spec, const ila::IlaExpr &op) {
+        return op <= ila::BvConst(spec.ctx(), 1, 3);
+    };
+    struct Case
+    {
+        std::vector<DecodeOf> decodes;
+        SynthStatus status;
+        std::string pair;
+    };
+    const Case cases[] = {
+        // D (odd op) overlaps B (op 1) and E (op 3); B/D comes first.
+        {{opIs(0), opIs(1), opIs(2), odd, opIs(3)},
+         SynthStatus::Unsat, "B/D"},
+        // A (op <= 1) is disjoint from B and C, then meets D.
+        {{low, opIs(2), opIs(3), opIs(1), opIs(0)},
+         SynthStatus::Unsat, "A/D"},
+        // The overlap is the last pair.
+        {{opIs(0), opIs(1), opIs(2), opIs(3), opIs(3)},
+         SynthStatus::Unsat, "D/E"},
+        {{opIs(0), opIs(1), opIs(2), opIs(3)}, SynthStatus::Ok, ""},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.pair);
+        std::string pair;
+        EXPECT_EQ(mutexOf(c.decodes, &pair), c.status);
+        EXPECT_EQ(pair, c.pair);
     }
 }
 

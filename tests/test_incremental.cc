@@ -4,7 +4,8 @@
  * activation-literal groups, assumption probing, session proofs)
  * and for the incremental CEGIS path built on it: bit-identical hole
  * values against the fresh per-iteration path and the path without
- * CNF preprocessing on five registry designs, and back-to-back
+ * CNF preprocessing on five registry designs, model-guided lexmin
+ * canonicalization against a full-probe reference, and back-to-back
  * in-process synthesis sessions (the ASan double-session check).
  */
 
@@ -12,6 +13,8 @@
 
 #include <optional>
 
+#include "core/cegis.h"
+#include "core/spec_compiler.h"
 #include "core/synthesis.h"
 #include "designs/accumulator.h"
 #include "designs/case_study.h"
@@ -254,6 +257,122 @@ TEST(Incremental, CegisBitIdenticalToFreshPath)
                         << "." << hole;
             }
         }
+    }
+}
+
+namespace
+{
+
+/**
+ * The lexmin candidate by the textbook sweep: one assumption probe
+ * per hole bit (holes by name, msb first), no model guidance. Built
+ * on its own term table and context from the same counterexamples.
+ */
+class FullProbeLexmin
+{
+  public:
+    FullProbeLexmin(const designs::CaseStudy &cs, const ila::Instr &instr)
+        : cs(cs), instr(instr), ctx(tt)
+    {
+        for (const oyster::Decl &d : cs.sketch.decls()) {
+            if (d.kind == oyster::DeclKind::Hole)
+                holes[d.name] = tt.freshVar("hole." + d.name, d.width);
+        }
+    }
+
+    void addCex(const synth::Counterexample &cex)
+    {
+        oyster::SymRun run =
+            synth::runWithCex(cs.sketch, cs.alpha, tt, holes, cex);
+        synth::SpecCompiler sc(cs.spec, cs.alpha, tt, run, cs.sketch);
+        ctx.addGroup({sc.compileInstr(instr).implication(tt)});
+    }
+
+    std::optional<synth::HoleValues> solve()
+    {
+        if (ctx.check() != CheckResult::Sat)
+            return std::nullopt;
+        synth::HoleValues out;
+        std::vector<sat::Lit> fixed;
+        for (const auto &[name, var] : holes) {
+            std::vector<sat::Lit> lits = ctx.literalsOf(var);
+            BitVec value(static_cast<int>(lits.size()));
+            for (int b = static_cast<int>(lits.size()) - 1; b >= 0; b--) {
+                fixed.push_back(~lits[b]);
+                if (ctx.check(nullptr, {}, nullptr, fixed) ==
+                    CheckResult::Unsat) {
+                    fixed.back() = lits[b];
+                    value.setBit(b, true);
+                }
+            }
+            out[name] = value;
+        }
+        return out;
+    }
+
+  private:
+    const designs::CaseStudy &cs;
+    const ila::Instr &instr;
+    TermTable tt;
+    std::map<std::string, TermRef> holes;
+    IncrementalContext ctx;
+};
+
+} // namespace
+
+TEST(Incremental, ModelGuidedLexminMatchesFullProbe)
+{
+    // SynthSession::solve pins every hole bit its last Sat model has
+    // at 0 without a solve; the sweep above probes every bit. Replay
+    // each instruction's CEGIS run through both and compare after
+    // every counterexample. rv32i-2stage reads memory, so its session
+    // learns lazy Ackermann lemmas during the probes.
+    obs::setEnabled(true);
+    obs::Registry &reg = obs::Registry::instance();
+    for (const char *name : {"alu-machine", "rv32i-2stage"}) {
+        SCOPED_TRACE(name);
+        std::optional<designs::CaseStudy> cs =
+            designs::makeCaseStudy(name);
+        ASSERT_TRUE(cs);
+        synth::InstrSynthesizer isynth(cs->sketch, cs->spec, cs->alpha);
+        synth::CegisOptions opts;
+        int compared = 0;
+        for (const auto &instr : cs->spec.instrs()) {
+            SCOPED_TRACE(instr->name());
+            synth::SynthSession session(cs->sketch, cs->spec, cs->alpha,
+                                        instr->name(), opts);
+            FullProbeLexmin ref(*cs, *instr);
+            synth::HoleValues candidate;
+            for (const oyster::Decl &d : cs->sketch.decls()) {
+                if (d.kind == oyster::DeclKind::Hole)
+                    candidate[d.name] = BitVec(d.width);
+            }
+            for (int iter = 0; iter < opts.maxIterations; iter++) {
+                synth::Counterexample cex;
+                SynthStatus v =
+                    isynth.verifyCandidate(*instr, candidate, &cex, opts);
+                if (v == SynthStatus::Ok)
+                    break;
+                ASSERT_EQ(v, SynthStatus::Unsat);
+                session.addCex(cex);
+                ref.addCex(cex);
+                ASSERT_EQ(session.solve(candidate, opts), SynthStatus::Ok);
+                std::optional<synth::HoleValues> want = ref.solve();
+                ASSERT_TRUE(want);
+                for (const auto &[hole, value] : *want)
+                    EXPECT_TRUE(candidate.at(hole) == value) << hole;
+                compared++;
+            }
+            // No group since the last solve: the memo answers it.
+            uint64_t checks = reg.counterValue("smt.checks");
+            synth::HoleValues again;
+            if (session.groups() > 0) {
+                ASSERT_EQ(session.solve(again, opts), SynthStatus::Ok);
+                EXPECT_TRUE(again == candidate);
+            }
+            EXPECT_EQ(reg.counterValue("smt.checks"), checks);
+        }
+        EXPECT_GT(compared, 0);
     }
 }
 

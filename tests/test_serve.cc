@@ -150,6 +150,30 @@ TEST(ServeFingerprint, StableAcrossRebuilds)
                                    b->spec.instr(instr->name())));
 }
 
+TEST(ServeFingerprint, SharedMemoKeepsInstructionKeys)
+{
+    // A request fingerprints all its instructions through one memo;
+    // the keys (and the serve cache bytes built on them) must be those
+    // of one fresh hasher per instruction, whatever order the shared
+    // memo fills in.
+    for (const std::string &name : designs::caseStudyNames()) {
+        SCOPED_TRACE(name);
+        auto cs = designs::makeCaseStudy(name);
+        ASSERT_TRUE(cs);
+        const auto &instrs = cs->spec.instrs();
+        InstrFingerprinter forward(cs->spec);
+        InstrFingerprinter backward(cs->spec);
+        std::vector<uint64_t> back(instrs.size());
+        for (size_t i = instrs.size(); i-- > 0;)
+            back[i] = backward(*instrs[i]);
+        for (size_t i = 0; i < instrs.size(); i++) {
+            uint64_t one_shot = instrFingerprint(cs->spec, *instrs[i]);
+            EXPECT_EQ(forward(*instrs[i]), one_shot) << instrs[i]->name();
+            EXPECT_EQ(back[i], one_shot) << instrs[i]->name();
+        }
+    }
+}
+
 namespace
 {
 
@@ -760,6 +784,28 @@ TEST(ServeServer, WarmSessionsKickInWhenCacheEvicts)
     ASSERT_EQ(results[1].status, "ok");
     EXPECT_GT(results[1].cacheMisses, 0u);
     EXPECT_GT(results[1].sessionsReused, 0u);
+    EXPECT_EQ(holesString(results[0].holes),
+              holesString(results[1].holes));
+}
+
+TEST(ServeServer, WarmMissTakesOneIterationPerInstruction)
+{
+    // With the cache holding nothing, the second rv32i request misses
+    // on every instruction, but each warm session's lexmin candidate
+    // is already the answer: one verify per instruction, no synth
+    // step, and the holes of the cold request.
+    ServerOptions sopts;
+    sopts.cacheBytes = 1; // keeps at most one entry
+    Server server(sopts);
+    std::vector<JobResult> results =
+        server.runBatch({job("rv32i"), job("rv32i")});
+    ASSERT_EQ(results[0].status, "ok");
+    ASSERT_EQ(results[1].status, "ok");
+    size_t n_instr = results[0].holes.size();
+    EXPECT_GT(results[0].iterations, static_cast<int>(n_instr));
+    EXPECT_EQ(results[1].cacheMisses, n_instr);
+    EXPECT_EQ(results[1].sessionsReused, n_instr);
+    EXPECT_EQ(results[1].iterations, static_cast<int>(n_instr));
     EXPECT_EQ(holesString(results[0].holes),
               holesString(results[1].holes));
 }
