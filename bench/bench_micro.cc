@@ -1,7 +1,8 @@
 /**
  * @file
  * Google-benchmark micro benchmarks for the substrate layers: the SAT
- * solver, the bit-blaster, symbolic evaluation of the RISC-V core,
+ * solver, the bit-blaster, one fixed registry verify query through
+ * smt::checkSat, symbolic evaluation of the RISC-V core,
  * one-instruction CEGIS, the AES accelerator interpreter, and the
  * netlist optimizer. These track the constants behind the Table 1
  * times.
@@ -20,7 +21,9 @@
 #include <cstdlib>
 #include <random>
 
+#include "core/spec_compiler.h"
 #include "core/synthesis.h"
+#include "designs/registry.h"
 #include "obs/obs.h"
 #include "designs/aes_accelerator.h"
 #include "designs/aes_tables.h"
@@ -112,6 +115,48 @@ BM_BitblastAddMulEquality(benchmark::State &state)
     }
 }
 BENCHMARK(BM_BitblastAddMulEquality)->Arg(8)->Arg(16)->Arg(32);
+
+/**
+ * The SAT-layer kernel of verification: one fixed query, built once,
+ * timed through smt::checkSat (bit-blast, CNF simplification, CDCL)
+ * with the pipeline's default solver policy. The query is the final
+ * CEGIS verify step of rv32i-2stage's SRA: the sketch with SRA's
+ * synthesized holes folded in, asserting Pre ∧ assumes ∧ ¬Post
+ * (Unsat). Symbolic evaluation, spec compilation and the CEGIS loop
+ * stay outside the timed region.
+ */
+static void
+BM_VerifyQueryKernel(benchmark::State &state)
+{
+    std::optional<designs::CaseStudy> cs =
+        designs::makeCaseStudy("rv32i-2stage");
+    const ila::Instr &instr = cs->spec.instr("SRA");
+    synth::InstrSynthesizer syn(cs->sketch, cs->spec, cs->alpha);
+    synth::CegisOptions opts;
+    synth::CegisResult holes = syn.synthesize(instr, nullptr, opts);
+    if (holes.status != synth::SynthStatus::Ok) {
+        state.SkipWithError("synthesis failed");
+        return;
+    }
+    smt::TermTable tt;
+    oyster::SymbolicEvaluator ev(cs->sketch, tt);
+    for (const auto &[name, value] : holes.holes)
+        ev.setHole(name, tt.constant(value));
+    synth::applyInitAliases(cs->sketch, cs->alpha, tt, ev);
+    oyster::SymRun run = ev.run(cs->alpha.cycles());
+    synth::SpecCompiler sc(cs->spec, cs->alpha, tt, run, cs->sketch);
+    std::vector<smt::TermRef> query =
+        sc.compileInstr(instr).violation(tt);
+    const smt::SolveLimits limits = opts.solveLimits();
+    for (auto _ : state) {
+        smt::CheckResult r = smt::checkSat(tt, query, nullptr, limits);
+        if (r != smt::CheckResult::Unsat) {
+            state.SkipWithError("verify query is not Unsat");
+            return;
+        }
+    }
+}
+BENCHMARK(BM_VerifyQueryKernel)->Unit(benchmark::kMillisecond);
 
 static void
 BM_SymbolicEvalRiscvSingleCycle(benchmark::State &state)

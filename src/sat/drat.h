@@ -33,7 +33,8 @@
 #ifndef OWL_SAT_DRAT_H
 #define OWL_SAT_DRAT_H
 
-#include <utility>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "lint/diagnostic.h"
@@ -61,14 +62,26 @@ struct DratProof
     std::vector<DratStep> steps;
 
     void
-    addClause(std::vector<Lit> lits)
+    addClause(std::span<const Lit> lits)
     {
-        steps.push_back(DratStep{false, std::move(lits)});
+        steps.push_back(
+            DratStep{false, std::vector<Lit>(lits.begin(), lits.end())});
     }
     void
-    deleteClause(const std::vector<Lit> &lits)
+    addClause(std::initializer_list<Lit> lits)
     {
-        steps.push_back(DratStep{true, lits});
+        addClause(std::span<const Lit>(lits.begin(), lits.size()));
+    }
+    void
+    deleteClause(std::span<const Lit> lits)
+    {
+        steps.push_back(
+            DratStep{true, std::vector<Lit>(lits.begin(), lits.end())});
+    }
+    void
+    deleteClause(std::initializer_list<Lit> lits)
+    {
+        deleteClause(std::span<const Lit>(lits.begin(), lits.size()));
     }
     /** True once an empty-clause addition has been recorded. */
     bool

@@ -49,6 +49,7 @@
  */
 
 #include <algorithm>
+#include <memory_resource>
 #include <span>
 
 #include "base/logging.h"
@@ -139,8 +140,14 @@ class Simplifier
 
   private:
     Solver &s;
+    /**
+     * Backs the occurrence index, which lives exactly one round: a
+     * list is a pointer bump, not a malloc, and all of them are
+     * released together when the round ends.
+     */
+    std::pmr::monotonic_buffer_resource occMemory;
     /** Literal code -> live clause indices (lazily stale). */
-    std::vector<std::vector<int>> occ;
+    std::pmr::vector<std::pmr::vector<int>> occ{&occMemory};
     std::vector<uint64_t> sigs;   ///< per clause
     std::vector<uint8_t> inQueue; ///< per clause
     /**
@@ -208,7 +215,7 @@ class Simplifier
     /** Is the literal's variable root-assigned making it true/false? */
     uint8_t litValue(Lit l) const { return s.value(l); }
 
-    void touch(const std::vector<Lit> &lits)
+    void touch(std::span<const Lit> lits)
     {
         for (Lit l : lits)
             touchedVar[static_cast<size_t>(l.var())] = 1;
@@ -224,12 +231,13 @@ class Simplifier
         Solver::Clause &c = s.clauses[static_cast<size_t>(ci)];
         if (c.deleted)
             return;
+        std::span<const Lit> lits = s.litsOf(c);
         if (s.proof) {
             if (!c.learned)
-                s.proof->addClause(c.lits);
-            s.proof->deleteClause(c.lits);
+                s.proof->addClause(lits);
+            s.proof->deleteClause(lits);
         }
-        touch(c.lits);
+        touch(lits);
         dropClause(ci);
     }
 
@@ -245,7 +253,7 @@ class Simplifier
             s.statistics.learnedDeleted++;
         }
         s.simpStatistics.clausesDeleted++;
-        Solver::releaseClause(c);
+        s.releaseClause(c);
         if (!occFlags.empty())
             occFlags[static_cast<size_t>(ci)] |= kDeleted;
     }
@@ -254,22 +262,23 @@ class Simplifier
      * Replace a clause's literals with a strict subset (dropping
      * root-false literals or a self-subsumption pivot). A one-literal
      * result leaves the database and lands on the root trail. The
-     * subset is copied into the clause's own storage, which always
-     * has room for it.
+     * subset is written over the clause's own arena slot, which
+     * always has room for it; the tail becomes garbage.
      */
     void strengthenTo(int ci, const std::vector<Lit> &new_lits)
     {
         Solver::Clause &c = s.clauses[static_cast<size_t>(ci)];
         owl_assert(!new_lits.empty(),
                    "strengthening emptied a clause past propagation");
+        std::span<Lit> lits = s.litsOf(c);
         if (s.proof) {
             s.proof->addClause(new_lits);
             if (!c.learned)
-                s.proof->addClause(c.lits);
-            s.proof->deleteClause(c.lits);
+                s.proof->addClause(lits);
+            s.proof->deleteClause(lits);
         }
         s.simpStatistics.clausesStrengthened++;
-        touch(c.lits);
+        touch(lits);
         if (new_lits.size() == 1) {
             dropClause(ci);
             uint8_t v = litValue(new_lits[0]);
@@ -281,11 +290,13 @@ class Simplifier
                 s.enqueue(new_lits[0], -1);
             return;
         }
-        c.lits.assign(new_lits.begin(), new_lits.end());
+        std::copy(new_lits.begin(), new_lits.end(), lits.begin());
+        s.arenaGarbage += c.size - new_lits.size();
+        c.size = static_cast<uint32_t>(new_lits.size());
         if (!sigs.empty()) {
             occFlags[static_cast<size_t>(ci)] |= kShrunk;
             sigs[static_cast<size_t>(ci)] =
-                simp::clauseSignature(c.lits);
+                simp::clauseSignature(s.litsOf(c));
             if (!c.learned)
                 pushQueue(ci);
         }
@@ -305,7 +316,7 @@ class Simplifier
                 continue;
             bool satisfied = false;
             bool any_false = false;
-            for (Lit l : c.lits) {
+            for (Lit l : s.litsOf(c)) {
                 uint8_t v = litValue(l);
                 if (v == Solver::lTrue) {
                     satisfied = true;
@@ -321,7 +332,7 @@ class Simplifier
             if (!any_false)
                 continue;
             kept.clear();
-            for (Lit l : c.lits) {
+            for (Lit l : s.litsOf(c)) {
                 if (litValue(l) != Solver::lFalse)
                     kept.push_back(l);
             }
@@ -335,11 +346,11 @@ class Simplifier
         sigs.assign(s.clauses.size(), 0);
         inQueue.assign(s.clauses.size(), 0);
         occFlags.assign(s.clauses.size(), 0);
-        // Size every list up front: one allocation per literal
-        // instead of a doubling chain.
+        // Size every list up front: one bump of occMemory per
+        // literal instead of a doubling chain.
         std::vector<uint32_t> count(occ.size(), 0);
         for (const Solver::Clause &c : s.clauses) {
-            for (Lit l : c.lits)
+            for (Lit l : s.litsOf(c))
                 count[static_cast<size_t>(l.index())]++;
         }
         for (size_t i = 0; i < occ.size(); i++)
@@ -352,8 +363,9 @@ class Simplifier
             }
             if (c.learned)
                 occFlags[ci] = kLearned;
-            sigs[ci] = simp::clauseSignature(c.lits);
-            for (Lit l : c.lits)
+            std::span<const Lit> lits = s.litsOf(c);
+            sigs[ci] = simp::clauseSignature(lits);
+            for (Lit l : lits)
                 occ[static_cast<size_t>(l.index())].push_back(
                     static_cast<int>(ci));
         }
@@ -384,7 +396,7 @@ class Simplifier
                 continue;
             if (!c.learned)
                 pushQueue(static_cast<int>(ci));
-            touch(c.lits);
+            touch(s.litsOf(c));
         }
         if (new_from == 0) {
             for (int v = 0; v < s.nVars; v++)
@@ -410,14 +422,14 @@ class Simplifier
                 continue;
             // Scan the shortest occurrence list among c's literals:
             // every clause c subsumes must contain all of them.
-            Lit best = c.lits[0];
-            for (Lit l : c.lits) {
+            Lit best = s.litsOf(c)[0];
+            for (Lit l : s.litsOf(c)) {
                 if (occ[static_cast<size_t>(l.index())].size() <
                     occ[static_cast<size_t>(best.index())].size()) {
                     best = l;
                 }
             }
-            const std::vector<int> &cands =
+            const std::pmr::vector<int> &cands =
                 occ[static_cast<size_t>(best.index())];
             for (size_t k = 0; k < cands.size() && !refuted; k++) {
                 int di = cands[k];
@@ -435,14 +447,14 @@ class Simplifier
                 }
                 Lit pivot;
                 simp::SubsumeRel rel = simp::subsumeCheck(
-                    s.clauses[static_cast<size_t>(ci)].lits, d.lits,
-                    mark, &pivot);
+                    s.litsOf(s.clauses[static_cast<size_t>(ci)]),
+                    s.litsOf(d), mark, &pivot);
                 if (rel == simp::SubsumeRel::Subsumes) {
                     removeClause(di);
                     s.simpStatistics.clausesSubsumed++;
                 } else if (rel == simp::SubsumeRel::SelfSubsumes) {
                     kept.clear();
-                    for (Lit l : d.lits) {
+                    for (Lit l : s.litsOf(d)) {
                         if (l != ~pivot)
                             kept.push_back(l);
                     }
@@ -469,7 +481,7 @@ class Simplifier
         negLits.clear();
         negEnd.clear();
         for (int ni : negOrig) {
-            for (Lit l : s.clauses[static_cast<size_t>(ni)].lits) {
+            for (Lit l : s.litsOf(s.clauses[static_cast<size_t>(ni)])) {
                 if (l.var() != v)
                     negLits.push_back(l);
             }
@@ -477,8 +489,8 @@ class Simplifier
         }
         const size_t size_limit = s.opts.simp.resolventSizeLimit;
         for (int pi : posOrig) {
-            const std::vector<Lit> &pos =
-                s.clauses[static_cast<size_t>(pi)].lits;
+            std::span<const Lit> pos =
+                s.litsOf(s.clauses[static_cast<size_t>(pi)]);
             // Clauses hold no duplicate or complementary literals,
             // so marking the pos clause once serves every partner: a
             // neg literal whose complement is marked makes the
@@ -541,15 +553,15 @@ class Simplifier
     {
         all.clear();
         orig.clear();
-        std::vector<int> &list = occ[static_cast<size_t>(l.index())];
+        std::pmr::vector<int> &list = occ[static_cast<size_t>(l.index())];
         size_t kept_n = 0;
         for (int ci : list) {
             uint8_t f = occFlags[static_cast<size_t>(ci)];
             if (f & kDeleted)
                 continue;
             if (f & kShrunk) {
-                const std::vector<Lit> &lits =
-                    s.clauses[static_cast<size_t>(ci)].lits;
+                std::span<const Lit> lits =
+                    s.litsOf(s.clauses[static_cast<size_t>(ci)]);
                 if (std::find(lits.begin(), lits.end(), l) ==
                     lits.end()) {
                     continue;
@@ -565,7 +577,8 @@ class Simplifier
 
     /**
      * Add a BVE resolvent (literals [begin, end) of resLits) to the
-     * database as an original clause.
+     * database as an original clause. Its literals not false at the
+     * root go straight into the solver's arena.
      */
     void addResolvent(size_t begin, size_t end)
     {
@@ -577,13 +590,14 @@ class Simplifier
                 return;
         }
         if (s.proof)
-            s.proof->addClause({raw.begin(), raw.end()});
-        std::vector<Lit> stored;
-        stored.reserve(raw.size());
+            s.proof->addClause(raw);
+        size_t off = s.arena.size();
         for (Lit l : raw) {
             if (litValue(l) != Solver::lFalse)
-                stored.push_back(l);
+                s.arena.push_back(l);
         }
+        std::span<const Lit> stored(s.arena.data() + off,
+                                    s.arena.size() - off);
         if (s.proof && stored.size() != raw.size())
             s.proof->addClause(stored);
         if (stored.empty()) {
@@ -592,20 +606,19 @@ class Simplifier
         }
         s.simpStatistics.resolventsAdded++;
         if (stored.size() == 1) {
-            if (litValue(stored[0]) == Solver::lUndef)
-                s.enqueue(stored[0], -1);
+            Lit unit = stored[0];
+            s.arena.resize(off);
+            if (litValue(unit) == Solver::lUndef)
+                s.enqueue(unit, -1);
             return;
         }
-        int ci = static_cast<int>(s.clauses.size());
         sigs.push_back(simp::clauseSignature(stored));
         inQueue.push_back(0);
         occFlags.push_back(0);
+        int ci = s.commitClause(off, false);
         for (Lit l : stored)
             occ[static_cast<size_t>(l.index())].push_back(ci);
         touch(stored);
-        s.clauses.push_back(Solver::Clause{std::move(stored), false,
-                                           false, 0, s.claInc});
-        s.clausesAdded++;
         pushQueue(ci);
     }
 
@@ -644,9 +657,9 @@ class Simplifier
         // (observed: a 21 s reference-verify query became minutes).
         size_t lits_before = 0;
         for (int ci : posOrig)
-            lits_before += s.clauses[static_cast<size_t>(ci)].lits.size();
+            lits_before += s.clauses[static_cast<size_t>(ci)].size;
         for (int ci : negOrig)
-            lits_before += s.clauses[static_cast<size_t>(ci)].lits.size();
+            lits_before += s.clauses[static_cast<size_t>(ci)].size;
         if (!resolveAll(v, limit, lits_before))
             return false;
 
@@ -663,7 +676,7 @@ class Simplifier
         Lit side_lit = store_pos ? pl : nl;
         for (int ci : side) {
             s.elimLits.push_back(side_lit);
-            for (Lit l : s.clauses[static_cast<size_t>(ci)].lits) {
+            for (Lit l : s.litsOf(s.clauses[static_cast<size_t>(ci)])) {
                 if (l != side_lit)
                     s.elimLits.push_back(l);
             }
@@ -706,7 +719,8 @@ class Simplifier
      * Drop the round's deleted clauses (and those reduceDb deleted
      * since the last round) from the clause array, keeping the
      * survivors' relative order so the rebuilt watch lists come out
-     * in the same order as over the uncompacted array. Nothing holds
+     * in the same order as over the uncompacted array, then squeeze
+     * the garbage out of the literal arena in the same order. Nothing holds
      * a clause index across this point: the occurrence index dies
      * with the round, the watch lists are rebuilt next, and every
      * root literal's reason is -1 (cleared at round start; the round
@@ -722,6 +736,7 @@ class Simplifier
             s.clauses.begin(), s.clauses.end(),
             [](const Solver::Clause &c) { return c.deleted; });
         s.clauses.erase(dead, s.clauses.end());
+        s.compactArena();
     }
 
     /**
@@ -737,7 +752,7 @@ class Simplifier
             const Solver::Clause &c = s.clauses[ci];
             if (c.deleted)
                 continue;
-            owl_assert(c.lits.size() >= 2,
+            owl_assert(c.size >= 2,
                        "sub-binary clause left in the database");
             s.attachClause(static_cast<int>(ci));
         }

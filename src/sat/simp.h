@@ -10,14 +10,16 @@
  * database, bounded variable elimination, model reconstruction, DRAT
  * emission) lives in sat/simp.cc as a friend of Solver — it rewrites
  * solver internals in place. Everything here is side-effect free and
- * works on plain literal vectors, so the lint passes can analyze a
- * captured Cnf without a solver.
+ * works on literal spans (a clause in the solver's arena or a plain
+ * vector), so the lint passes can analyze a captured Cnf without a
+ * solver.
  */
 
 #ifndef OWL_SAT_SIMP_H
 #define OWL_SAT_SIMP_H
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sat/solver.h"
@@ -36,7 +38,7 @@ namespace owl::sat::simp
  * veto every self-subsuming pair the exact test could find.
  */
 inline uint64_t
-clauseSignature(const std::vector<Lit> &lits)
+clauseSignature(std::span<const Lit> lits)
 {
     uint64_t sig = 0;
     for (Lit l : lits)
@@ -69,7 +71,7 @@ enum class SubsumeRel : uint8_t
  *              should be removed from `big`.
  */
 inline SubsumeRel
-subsumeCheck(const std::vector<Lit> &small, const std::vector<Lit> &big,
+subsumeCheck(std::span<const Lit> small, std::span<const Lit> big,
              std::vector<uint8_t> &mark, Lit *pivot)
 {
     if (small.size() > big.size())

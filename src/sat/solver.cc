@@ -166,7 +166,7 @@ Solver::loadCnf(const Cnf &cnf)
 }
 
 bool
-Solver::addClause(std::vector<Lit> lits)
+Solver::addClause(std::span<const Lit> in)
 {
     owl_assert(decisionLevel() == 0, "clauses must be added at level 0");
     if (nEliminated > 0) {
@@ -174,21 +174,23 @@ Solver::addClause(std::vector<Lit> lits)
         // mention an eliminated variable again: its defining clauses
         // are gone, so a new occurrence would silently change the
         // formula's meaning. A violation here is a caller bug.
-        for (Lit l : lits) {
+        for (Lit l : in) {
             owl_assert(!elimV[l.var()],
                        "clause references eliminated variable ",
                        l.var(), " (missing setFrozen?)");
         }
     }
     if (capture)
-        capture->clauses.push_back(lits);
+        capture->clauses.emplace_back(in.begin(), in.end());
     if (unsatisfiable)
         return false;
 
     // Remove duplicates and satisfied/false literals at level 0, in
-    // place: survivors are compacted to the front. The write index
-    // never passes i, so lits[i - 1] and lits[i + 1] still hold their
-    // sorted values when read.
+    // the scratch buffer: survivors are compacted to the front. The
+    // write index never passes i, so lits[i - 1] and lits[i + 1] still
+    // hold their sorted values when read.
+    std::vector<Lit> &lits = addScratch;
+    lits.assign(in.begin(), in.end());
     std::sort(lits.begin(), lits.end(),
               [](Lit a, Lit b) { return a.index() < b.index(); });
     size_t kept = 0;
@@ -225,27 +227,59 @@ Solver::addClause(std::vector<Lit> lits)
         }
         return true;
     }
-    addClauseInternal(std::move(lits), false);
+    addClauseInternal(lits, false);
     return true;
 }
 
 int
-Solver::addClauseInternal(std::vector<Lit> lits, bool learned)
+Solver::addClauseInternal(std::span<const Lit> lits, bool learned)
 {
-    int ci = clauses.size();
-    clauses.push_back(Clause{std::move(lits), learned, false, 0, claInc});
-    clausesAdded++;
+    size_t off = arena.size();
+    arena.insert(arena.end(), lits.begin(), lits.end());
+    int ci = commitClause(off, learned);
     attachClause(ci);
     return ci;
+}
+
+int
+Solver::commitClause(size_t off, bool learned)
+{
+    owl_assert(arena.size() < UINT32_MAX, "clause arena overflow");
+    int ci = clauses.size();
+    clauses.push_back(Clause{static_cast<uint32_t>(off),
+                             static_cast<uint32_t>(arena.size() - off),
+                             learned, false, 0, claInc});
+    clausesAdded++;
+    return ci;
+}
+
+void
+Solver::compactArena()
+{
+    size_t out = 0;
+    for (Clause &c : clauses) {
+        // Offsets rise with the index, so out <= c.off: every move
+        // goes down, and a forward copy never reads what it wrote.
+        if (c.off != out) {
+            std::copy(arena.begin() + c.off,
+                      arena.begin() + c.off + c.size,
+                      arena.begin() + static_cast<long>(out));
+            c.off = static_cast<uint32_t>(out);
+        }
+        out += c.size;
+    }
+    arena.resize(out);
+    arenaGarbage = 0;
+    statistics.arenaCompactions++;
 }
 
 void
 Solver::attachClause(int ci)
 {
-    const Clause &c = clauses[ci];
-    owl_assert(c.lits.size() >= 2, "watched clause needs >= 2 literals");
-    watches[(~c.lits[0]).index()].push_back({ci, c.lits[1]});
-    watches[(~c.lits[1]).index()].push_back({ci, c.lits[0]});
+    std::span<const Lit> lits = litsOf(clauses[ci]);
+    owl_assert(lits.size() >= 2, "watched clause needs >= 2 literals");
+    watches[(~lits[0]).index()].push_back({ci, lits[1]});
+    watches[(~lits[1]).index()].push_back({ci, lits[0]});
 }
 
 void
@@ -273,27 +307,28 @@ Solver::propagate()
                 ws[j++] = ws[i++];
                 continue;
             }
-            Clause &c = clauses[w.clauseIdx];
+            const Clause &c = clauses[w.clauseIdx];
             if (c.deleted) {
                 i++;
                 continue;
             }
+            Lit *lits = arena.data() + c.off;
             // Ensure the false literal (~p) is at position 1.
             Lit not_p = ~p;
-            if (c.lits[0] == not_p)
-                std::swap(c.lits[0], c.lits[1]);
-            if (value(c.lits[0]) == lTrue) {
-                ws[j++] = {w.clauseIdx, c.lits[0]};
+            if (lits[0] == not_p)
+                std::swap(lits[0], lits[1]);
+            if (value(lits[0]) == lTrue) {
+                ws[j++] = {w.clauseIdx, lits[0]};
                 i++;
                 continue;
             }
             // Look for a new literal to watch.
             bool found = false;
-            for (size_t k = 2; k < c.lits.size(); k++) {
-                if (value(c.lits[k]) != lFalse) {
-                    std::swap(c.lits[1], c.lits[k]);
-                    watches[(~c.lits[1]).index()].push_back(
-                        {w.clauseIdx, c.lits[0]});
+            for (uint32_t k = 2; k < c.size; k++) {
+                if (value(lits[k]) != lFalse) {
+                    std::swap(lits[1], lits[k]);
+                    watches[(~lits[1]).index()].push_back(
+                        {w.clauseIdx, lits[0]});
                     found = true;
                     break;
                 }
@@ -304,13 +339,13 @@ Solver::propagate()
             }
             // Unit or conflict.
             ws[j++] = ws[i++];
-            if (value(c.lits[0]) == lFalse) {
+            if (value(lits[0]) == lFalse) {
                 confl = w.clauseIdx;
                 // Copy remaining watchers and bail out.
                 while (i < ws.size())
                     ws[j++] = ws[i++];
             } else {
-                enqueue(c.lits[0], w.clauseIdx);
+                enqueue(lits[0], w.clauseIdx);
             }
         }
         ws.resize(j);
@@ -331,12 +366,12 @@ Solver::analyze(int confl, std::vector<Lit> &learnt, int &bt_level)
 
     int cur = confl;
     do {
-        Clause &c = clauses[cur];
-        if (c.learned)
+        if (clauses[cur].learned)
             bumpClause(cur);
+        std::span<const Lit> lits = litsOf(clauses[cur]);
         size_t start = p.valid() ? 1 : 0;
-        for (size_t k = start; k < c.lits.size(); k++) {
-            Lit q = c.lits[k];
+        for (size_t k = start; k < lits.size(); k++) {
+            Lit q = lits[k];
             if (!seen[q.var()] && levels[q.var()] > 0) {
                 seen[q.var()] = 1;
                 bumpVar(q.var());
@@ -361,7 +396,8 @@ Solver::analyze(int confl, std::vector<Lit> &learnt, int &bt_level)
         levels_mask |= 1u << (levels[learnt[i].var()] & 31);
     // Clear the seen marks of dropped literals too: they would
     // otherwise leak into future conflict analyses.
-    std::vector<Lit> dropped;
+    std::vector<Lit> &dropped = analyzeDropped;
+    dropped.clear();
     size_t out = 1;
     for (size_t i = 1; i < learnt.size(); i++) {
         int r = reasons[learnt[i].var()];
@@ -395,8 +431,10 @@ Solver::litRedundant(Lit l, uint32_t levels_mask)
 {
     // Recursively check whether l's reason chain stays inside the seen
     // set. An iterative stack avoids deep recursion.
-    std::vector<Lit> stack{l};
-    std::vector<int> cleared;
+    std::vector<Lit> &stack = redundantStack;
+    std::vector<int> &cleared = redundantCleared;
+    stack.assign(1, l);
+    cleared.clear();
     bool ok = true;
     while (!stack.empty() && ok) {
         Lit cur = stack.back();
@@ -406,9 +444,7 @@ Solver::litRedundant(Lit l, uint32_t levels_mask)
             ok = false;
             break;
         }
-        const Clause &c = clauses[r];
-        for (size_t k = 0; k < c.lits.size(); k++) {
-            Lit q = c.lits[k];
+        for (Lit q : litsOf(clauses[r])) {
             if (q.var() == cur.var() || seen[q.var()] ||
                 levels[q.var()] == 0) {
                 continue;
@@ -501,11 +537,12 @@ Solver::reduceDb()
     std::vector<int> cand;
     for (size_t ci = 0; ci < clauses.size(); ci++) {
         const Clause &c = clauses[ci];
-        if (!c.learned || c.deleted || c.lits.size() <= 2)
+        if (!c.learned || c.deleted || c.size <= 2)
             continue;
+        Lit first = arena[c.off];
         bool is_reason = false;
-        if (value(c.lits[0]) == lTrue &&
-            reasons[c.lits[0].var()] == static_cast<int>(ci)) {
+        if (value(first) == lTrue &&
+            reasons[first.var()] == static_cast<int>(ci)) {
             is_reason = true;
         }
         if (!is_reason)
@@ -523,9 +560,12 @@ Solver::reduceDb()
     for (size_t i = 0; i < deleted; i++) {
         statistics.learnedDeleted++;
         if (proof)
-            proof->deleteClause(clauses[cand[i]].lits);
+            proof->deleteClause(litsOf(clauses[cand[i]]));
         releaseClause(clauses[cand[i]]);
     }
+    // Without the simplifier nothing else reclaims deleted literals.
+    if (arenaGarbage > arena.size() / 2)
+        compactArena();
     learnedLimit = learnedLimit + learnedLimit / 2;
     return deleted;
 }
@@ -546,8 +586,10 @@ Solver::learnedClauseDb() const
 {
     std::vector<std::vector<Lit>> out;
     for (const Clause &c : clauses) {
-        if (c.learned && !c.deleted)
-            out.push_back(c.lits);
+        if (c.learned && !c.deleted) {
+            std::span<const Lit> lits = litsOf(c);
+            out.emplace_back(lits.begin(), lits.end());
+        }
     }
     return out;
 }
@@ -582,7 +624,7 @@ Solver::analyzeFinal(Lit a)
         if (reasons[v] == -1) {
             failedAssumptionsOut.push_back(trail[i]);
         } else {
-            for (Lit q : clauses[reasons[v]].lits) {
+            for (Lit q : litsOf(clauses[reasons[v]])) {
                 // Skip the implied literal itself: re-marking v here
                 // would leave a stray seen bit behind (the walk is
                 // already past its trail position), poisoning every
@@ -644,6 +686,7 @@ Solver::auditWatchInvariants(lint::Report *report) const
             const Clause &c = clauses[w.clauseIdx];
             if (c.deleted)
                 continue;
+            std::span<const Lit> lits = litsOf(c);
             occurrences[w.clauseIdx]++;
             // List idx holds watchers triggered when the literal with
             // that code becomes true, i.e. clauses whose watched
@@ -651,9 +694,9 @@ Solver::auditWatchInvariants(lint::Report *report) const
             // sit at positions 0/1.
             Lit watched;
             for (int b = 0; b < 2; b++) {
-                if (c.lits.size() > static_cast<size_t>(b) &&
-                    (~c.lits[b]).index() == static_cast<int>(idx)) {
-                    watched = c.lits[b];
+                if (lits.size() > static_cast<size_t>(b) &&
+                    (~lits[b]).index() == static_cast<int>(idx)) {
+                    watched = lits[b];
                 }
             }
             if (!watched.valid()) {
@@ -666,7 +709,7 @@ Solver::auditWatchInvariants(lint::Report *report) const
     }
     for (size_t ci = 0; ci < clauses.size(); ci++) {
         const Clause &c = clauses[ci];
-        if (c.deleted || c.lits.size() < 2)
+        if (c.deleted || c.size < 2)
             continue;
         if (occurrences[ci] != 2) {
             diag("cnf.watch-count",
@@ -779,7 +822,8 @@ Solver::solve(const std::vector<Lit> &assumptions)
             } else {
                 int ci = addClauseInternal(learnt, true);
                 // LBD: number of distinct levels in the clause.
-                std::vector<int> lvls;
+                std::vector<int> &lvls = lbdLevels;
+                lvls.clear();
                 for (Lit l : learnt)
                     lvls.push_back(levels[l.var()]);
                 std::sort(lvls.begin(), lvls.end());
@@ -789,7 +833,7 @@ Solver::solve(const std::vector<Lit> &assumptions)
                     lbdLocal.record(
                         static_cast<uint64_t>(clauses[ci].lbd));
                 liveLearned++;
-                enqueue(clauses[ci].lits[0], ci);
+                enqueue(learnt[0], ci);
             }
             decayActivities();
 

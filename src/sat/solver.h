@@ -21,6 +21,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -80,6 +81,11 @@ struct Stats
     /** Learned clauses of size 1 (fixed at level 0, never in the DB). */
     uint64_t learnedUnits = 0;
     uint64_t learnedDeleted = 0;
+    /**
+     * Clause-arena compactions: one per simplification round end,
+     * plus those reduceDb() runs once garbage passes half the arena.
+     */
+    uint64_t arenaCompactions = 0;
 };
 
 /**
@@ -204,17 +210,24 @@ class Solver
 
     /**
      * Add a clause (disjunction of literals). Returns false if the
-     * clause makes the formula trivially unsatisfiable.
+     * clause makes the formula trivially unsatisfiable. The literals
+     * are copied; the span may point anywhere but into the solver.
      */
-    bool addClause(std::vector<Lit> lits);
-    bool addClause(Lit a) { return addClause(std::vector<Lit>{a}); }
+    bool addClause(std::span<const Lit> lits);
+    bool addClause(Lit a)
+    {
+        const Lit lits[] = {a};
+        return addClause(std::span<const Lit>(lits));
+    }
     bool addClause(Lit a, Lit b)
     {
-        return addClause(std::vector<Lit>{a, b});
+        const Lit lits[] = {a, b};
+        return addClause(std::span<const Lit>(lits));
     }
     bool addClause(Lit a, Lit b, Lit c)
     {
-        return addClause(std::vector<Lit>{a, b, c});
+        const Lit lits[] = {a, b, c};
+        return addClause(std::span<const Lit>(lits));
     }
 
     /**
@@ -458,9 +471,18 @@ class Solver
     static constexpr uint8_t lFalse = 1;
     static constexpr uint8_t lUndef = 2;
 
+    /**
+     * A clause header. Its literals are arena[off, off + size), read
+     * through litsOf(); clauses are still addressed by index, so
+     * watchers, reasons and occurrence lists hold ints. Offsets rise
+     * with the clause index (both only ever append, and compaction
+     * keeps the order), which lets compactArena() slide every clause
+     * down in one forward pass.
+     */
     struct Clause
     {
-        std::vector<Lit> lits;
+        uint32_t off = 0;
+        uint32_t size = 0;
         bool learned = false;
         bool deleted = false;
         int lbd = 0;
@@ -477,6 +499,16 @@ class Solver
     bool unsatisfiable = false;
 
     std::vector<Clause> clauses;
+    /**
+     * Every clause's literals, back to back (see Clause). A deleted
+     * or strengthened clause leaves its dropped literals behind as
+     * garbage until the next compactArena(). An append can move the
+     * arena, so no span from litsOf() is held across addClause(),
+     * addClauseInternal() or a resolvent store.
+     */
+    std::vector<Lit> arena;
+    /** Literals in the arena that no live clause owns. */
+    size_t arenaGarbage = 0;
     std::vector<std::vector<Watcher>> watches; // indexed by lit code
     std::vector<uint8_t> assigns;              // per var
     std::vector<int> levels;                   // per var
@@ -602,8 +634,24 @@ class Solver
         return std::forward<F>(f)();
     }
 
-    // Scratch for conflict analysis.
+    // Scratch for conflict analysis, kept across conflicts so that a
+    // conflict allocates nothing once the buffers have grown.
     std::vector<uint8_t> seen;
+    std::vector<Lit> analyzeDropped;   ///< analyze(): minimized away
+    std::vector<Lit> redundantStack;   ///< litRedundant() worklist
+    std::vector<int> redundantCleared; ///< litRedundant() seen marks
+    std::vector<int> lbdLevels;        ///< solve(): learned-clause LBD
+    /** addClause() normalisation buffer. */
+    std::vector<Lit> addScratch;
+
+    std::span<Lit> litsOf(const Clause &c)
+    {
+        return {arena.data() + c.off, c.size};
+    }
+    std::span<const Lit> litsOf(const Clause &c) const
+    {
+        return {arena.data() + c.off, c.size};
+    }
 
     uint8_t value(int var) const { return assigns[var]; }
     uint8_t value(Lit l) const
@@ -622,17 +670,31 @@ class Solver
     void backtrack(int level);
     Lit pickBranchLit();
     void attachClause(int ci);
-    int addClauseInternal(std::vector<Lit> lits, bool learned);
+    /** Store and watch a normalised clause of two or more literals. */
+    int addClauseInternal(std::span<const Lit> lits, bool learned);
     /**
-     * Mark a clause deleted and free its literals. Callers log the
-     * DRAT deletion (which needs the literals) first; watchers of a
-     * deleted clause are dropped lazily without reading them.
+     * Give the literals arena[off, arena.size()) a clause header (not
+     * watched yet); returns the new clause index.
      */
-    static void releaseClause(Clause &c)
+    int commitClause(size_t off, bool learned);
+    /**
+     * Mark a clause deleted; its literals become arena garbage.
+     * Callers log the DRAT deletion (which needs the literals) first;
+     * watchers of a deleted clause are dropped lazily without reading
+     * them.
+     */
+    void releaseClause(Clause &c)
     {
         c.deleted = true;
-        std::vector<Lit>().swap(c.lits);
+        arenaGarbage += c.size;
+        c.size = 0;
     }
+    /**
+     * Slide every live clause's literals down over the garbage, in
+     * clause order, and rewrite the offsets. Clause indices do not
+     * change, so watchers and reasons stay valid.
+     */
+    void compactArena();
     /** @return the number of learned clauses actually deleted. */
     size_t reduceDb();
     void bumpVar(int var);

@@ -216,24 +216,26 @@ BitBlaster::gFullAdder(Lit a, Lit b, Lit cin, Lit &cout)
     return sum;
 }
 
-const std::vector<Lit> &
+std::span<const Lit>
 BitBlaster::blast(TermRef t)
 {
-    auto it = cache.find(t.idx);
-    if (it != cache.end())
-        return it->second;
+    if (isBlasted(t))
+        return encoding(t);
+    if (termOff.size() < tt.numNodes())
+        termOff.resize(tt.numNodes(), kUnblasted);
     // Blast children iteratively to bound recursion depth on long
     // ite/write chains: explicit post-order worklist.
-    std::vector<TermRef> stack{t};
+    std::vector<TermRef> &stack = blastStack;
+    stack.assign(1, t);
     while (!stack.empty()) {
         TermRef cur = stack.back();
-        if (cache.count(cur.idx)) {
+        if (isBlasted(cur)) {
             stack.pop_back();
             continue;
         }
         bool ready = true;
         for (TermRef c : tt.node(cur).children) {
-            if (!cache.count(c.idx)) {
+            if (!isBlasted(c)) {
                 stack.push_back(c);
                 ready = false;
             }
@@ -241,13 +243,19 @@ BitBlaster::blast(TermRef t)
         if (!ready)
             continue;
         stack.pop_back();
-        auto ins = cache.emplace(cur.idx, blastNode(cur));
+        // Children's encodings are read straight out of the pool, so
+        // the node is built in scratch and appended afterwards.
+        blastNode(cur, nodeOut);
+        owl_assert(pool.size() + nodeOut.size() < kUnblasted,
+                   "blast pool overflow");
+        termOff[cur.idx] = static_cast<uint32_t>(pool.size());
+        pool.insert(pool.end(), nodeOut.begin(), nodeOut.end());
+        nCached++;
         // Cached encodings are the only literals future clauses and
         // assumptions can mention; log them for the freeze pass.
-        for (Lit l : ins.first->second)
-            outputLog.push_back(l);
+        outputLog.insert(outputLog.end(), nodeOut.begin(), nodeOut.end());
     }
-    return cache.at(t.idx);
+    return encoding(t);
 }
 
 void
@@ -272,11 +280,11 @@ BitBlaster::assertTrue(TermRef t)
 BitVec
 BitBlaster::modelValue(TermRef t) const
 {
-    auto it = cache.find(t.idx);
-    owl_assert(it != cache.end(), "modelValue of un-blasted term");
+    owl_assert(isBlasted(t), "modelValue of un-blasted term");
+    std::span<const Lit> lits = encoding(t);
     BitVec v(tt.width(t));
     for (int i = 0; i < tt.width(t); i++) {
-        Lit l = it->second[i];
+        Lit l = lits[i];
         bool bit = solver.modelValue(l.var()) ^ l.negated();
         v.setBit(i, bit);
     }
@@ -284,8 +292,7 @@ BitBlaster::modelValue(TermRef t) const
 }
 
 std::vector<Lit>
-BitBlaster::addVec(const std::vector<Lit> &a, const std::vector<Lit> &b,
-                   Lit cin)
+BitBlaster::addVec(std::span<const Lit> a, std::span<const Lit> b, Lit cin)
 {
     std::vector<Lit> out(a.size());
     Lit carry = cin;
@@ -295,7 +302,7 @@ BitBlaster::addVec(const std::vector<Lit> &a, const std::vector<Lit> &b,
 }
 
 std::vector<Lit>
-BitBlaster::negVec(const std::vector<Lit> &a)
+BitBlaster::negVec(std::span<const Lit> a)
 {
     std::vector<Lit> inv(a.size());
     for (size_t i = 0; i < a.size(); i++)
@@ -305,7 +312,7 @@ BitBlaster::negVec(const std::vector<Lit> &a)
 }
 
 std::vector<Lit>
-BitBlaster::mulVec(const std::vector<Lit> &a, const std::vector<Lit> &b)
+BitBlaster::mulVec(std::span<const Lit> a, std::span<const Lit> b)
 {
     size_t w = a.size();
     std::vector<Lit> acc(w, lConst(false));
@@ -320,7 +327,7 @@ BitBlaster::mulVec(const std::vector<Lit> &a, const std::vector<Lit> &b)
 }
 
 Lit
-BitBlaster::ultVec(const std::vector<Lit> &a, const std::vector<Lit> &b)
+BitBlaster::ultVec(std::span<const Lit> a, std::span<const Lit> b)
 {
     // lt_i = (!a_i & b_i) | ((a_i == b_i) & lt_{i-1}), msb last.
     Lit lt = lConst(false);
@@ -332,12 +339,12 @@ BitBlaster::ultVec(const std::vector<Lit> &a, const std::vector<Lit> &b)
 }
 
 std::vector<Lit>
-BitBlaster::shiftVec(const std::vector<Lit> &val,
-                     const std::vector<Lit> &amt, bool left, bool arith)
+BitBlaster::shiftVec(std::span<const Lit> val, std::span<const Lit> amt,
+                     bool left, bool arith)
 {
     size_t w = val.size();
     Lit fill = arith ? val.back() : lConst(false);
-    std::vector<Lit> cur = val;
+    std::vector<Lit> cur(val.begin(), val.end());
     // Barrel shifter: stage k shifts by 2^k when amt[k] is set.
     for (size_t k = 0; k < amt.size() && (1ULL << k) < 2 * w; k++) {
         uint64_t dist = 1ULL << k;
@@ -382,7 +389,7 @@ BitBlaster::shiftVec(const std::vector<Lit> &val,
 }
 
 std::vector<Lit>
-BitBlaster::lookupVec(const TableInfo &info, const std::vector<Lit> &idx,
+BitBlaster::lookupVec(const TableInfo &info, std::span<const Lit> idx,
                       size_t base, int bits)
 {
     // Recursive mux tree over the top index bit. Entries past the end
@@ -405,14 +412,16 @@ BitBlaster::lookupVec(const TableInfo &info, const std::vector<Lit> &idx,
     return out;
 }
 
-std::vector<Lit>
-BitBlaster::blastNode(TermRef t)
+void
+BitBlaster::blastNode(TermRef t, std::vector<Lit> &out)
 {
     const Node &n = tt.node(t);
-    auto child = [&](int i) -> const std::vector<Lit> & {
-        return cache.at(n.children[i].idx);
+    auto child = [&](int i) { return encoding(n.children[i]); };
+    auto copy = [&](int i) {
+        std::span<const Lit> c = child(i);
+        return std::vector<Lit>(c.begin(), c.end());
     };
-    std::vector<Lit> out;
+    out.clear();
     switch (n.op) {
       case Op::Const: {
         const BitVec &v = tt.constValue(t);
@@ -434,7 +443,7 @@ BitBlaster::blastNode(TermRef t)
         break;
       }
       case Op::Not: {
-        out = child(0);
+        out = copy(0);
         for (auto &l : out)
             l = ~l;
         break;
@@ -464,7 +473,7 @@ BitBlaster::blastNode(TermRef t)
         out = addVec(child(0), child(1), lConst(false));
         break;
       case Op::Sub: {
-        std::vector<Lit> binv = child(1);
+        std::vector<Lit> binv = copy(1);
         for (auto &l : binv)
             l = ~l;
         out = addVec(child(0), binv, lConst(true));
@@ -514,14 +523,14 @@ BitBlaster::blastNode(TermRef t)
         break;
       case Op::Slt: {
         // Flip sign bits and compare unsigned.
-        std::vector<Lit> a = child(0), b = child(1);
+        std::vector<Lit> a = copy(0), b = copy(1);
         a.back() = ~a.back();
         b.back() = ~b.back();
         out = {ultVec(a, b)};
         break;
       }
       case Op::Sle: {
-        std::vector<Lit> a = child(0), b = child(1);
+        std::vector<Lit> a = copy(0), b = copy(1);
         a.back() = ~a.back();
         b.back() = ~b.back();
         out = {~ultVec(b, a)};
@@ -535,21 +544,23 @@ BitBlaster::blastNode(TermRef t)
         break;
       }
       case Op::Extract: {
-        out.assign(child(0).begin() + n.b, child(0).begin() + n.a + 1);
+        std::span<const Lit> c0 = child(0);
+        out.assign(c0.begin() + n.b, c0.begin() + n.a + 1);
         break;
       }
       case Op::Concat: {
-        out = child(1);
-        out.insert(out.end(), child(0).begin(), child(0).end());
+        std::span<const Lit> hi = child(0);
+        out = copy(1);
+        out.insert(out.end(), hi.begin(), hi.end());
         break;
       }
       case Op::ZExt: {
-        out = child(0);
+        out = copy(0);
         out.resize(n.width, lConst(false));
         break;
       }
       case Op::SExt: {
-        out = child(0);
+        out = copy(0);
         out.resize(n.width, out.back());
         break;
       }
@@ -565,7 +576,6 @@ BitBlaster::blastNode(TermRef t)
     }
     owl_assert(static_cast<int>(out.size()) == n.width,
                "blast width mismatch for ", opName(n.op));
-    return out;
 }
 
 } // namespace owl::smt

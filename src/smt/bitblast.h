@@ -19,7 +19,7 @@
 #define OWL_SMT_BITBLAST_H
 
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "obs/obs.h"
@@ -40,9 +40,11 @@ struct BlastStats
 
 /**
  * Bit-blasts terms from one TermTable into one sat::Solver. The
- * blaster caches literal vectors per term, so shared subterms produce
+ * blaster caches each term's literals, so shared subterms produce
  * shared circuitry, and hashes every gate it makes, so the same gate
- * reached from different terms is shared too.
+ * reached from different terms is shared too. The cached encodings
+ * sit back to back in one literal pool, found through a per-term
+ * offset indexed by the TermTable's dense node index.
  *
  * The blaster may outlive solves of its solver (IncrementalContext
  * blasts between check() calls). A table hit is reused only while its
@@ -56,8 +58,12 @@ class BitBlaster
   public:
     BitBlaster(const TermTable &tt, sat::Solver &solver);
 
-    /** Literals (lsb first) representing the term's value. */
-    const std::vector<sat::Lit> &blast(TermRef t);
+    /**
+     * Literals (lsb first) representing the term's value. The span
+     * points into the pool and is invalidated by the next blast() or
+     * assertTrue() that encodes a new term; copy it to keep it.
+     */
+    std::span<const sat::Lit> blast(TermRef t);
 
     /** Assert that a 1-bit term is true. */
     void assertTrue(TermRef t);
@@ -76,7 +82,7 @@ class BitBlaster
      * incremental layer diffs this across iterations to count how
      * much of each delta query was already in CNF (cache hits).
      */
-    size_t cachedTerms() const { return cache.size(); }
+    size_t cachedTerms() const { return nCached; }
 
     /**
      * Append-only log of every literal a cached encoding exposes (the
@@ -116,7 +122,18 @@ class BitBlaster
     const TermTable &tt;
     sat::Solver &solver;
     sat::Lit tl;
-    std::unordered_map<uint32_t, std::vector<sat::Lit>> cache;
+    /**
+     * The blast cache: term t's encoding is
+     * pool[termOff[t.idx], termOff[t.idx] + width(t)), or kUnblasted.
+     * termOff grows with the TermTable; the pool only appends.
+     */
+    std::vector<sat::Lit> pool;
+    std::vector<uint32_t> termOff;
+    static constexpr uint32_t kUnblasted = UINT32_MAX;
+    size_t nCached = 0;
+    /** blast() scratch: the post-order worklist and a node's output. */
+    std::vector<TermRef> blastStack;
+    std::vector<sat::Lit> nodeOut;
     std::vector<sat::Lit> outputLog; ///< see cacheOutputLog()
 
     /**
@@ -142,6 +159,15 @@ class BitBlaster
     bool isFalseLit(sat::Lit l) const { return l == ~tl; }
 
     sat::Lit freshLit();
+    bool isBlasted(TermRef t) const
+    {
+        return t.idx < termOff.size() && termOff[t.idx] != kUnblasted;
+    }
+    std::span<const sat::Lit> encoding(TermRef t) const
+    {
+        return {pool.data() + termOff[t.idx],
+                static_cast<size_t>(tt.width(t))};
+    }
     /** The slot holding key (a, b, c), or the empty slot for it. */
     Gate &gateSlot(uint32_t a, uint32_t b, uint32_t c);
     /**
@@ -160,20 +186,21 @@ class BitBlaster
     sat::Lit gFullAdder(sat::Lit a, sat::Lit b, sat::Lit cin,
                         sat::Lit &cout);
 
-    std::vector<sat::Lit> blastNode(TermRef t);
-    std::vector<sat::Lit> addVec(const std::vector<sat::Lit> &a,
-                                 const std::vector<sat::Lit> &b,
+    /** Encode node t, whose children are already blasted, into out. */
+    void blastNode(TermRef t, std::vector<sat::Lit> &out);
+    std::vector<sat::Lit> addVec(std::span<const sat::Lit> a,
+                                 std::span<const sat::Lit> b,
                                  sat::Lit cin);
-    std::vector<sat::Lit> mulVec(const std::vector<sat::Lit> &a,
-                                 const std::vector<sat::Lit> &b);
-    std::vector<sat::Lit> negVec(const std::vector<sat::Lit> &a);
-    sat::Lit ultVec(const std::vector<sat::Lit> &a,
-                    const std::vector<sat::Lit> &b);
-    std::vector<sat::Lit> shiftVec(const std::vector<sat::Lit> &val,
-                                   const std::vector<sat::Lit> &amt,
+    std::vector<sat::Lit> mulVec(std::span<const sat::Lit> a,
+                                 std::span<const sat::Lit> b);
+    std::vector<sat::Lit> negVec(std::span<const sat::Lit> a);
+    sat::Lit ultVec(std::span<const sat::Lit> a,
+                    std::span<const sat::Lit> b);
+    std::vector<sat::Lit> shiftVec(std::span<const sat::Lit> val,
+                                   std::span<const sat::Lit> amt,
                                    bool left, bool arith);
     std::vector<sat::Lit> lookupVec(const TableInfo &info,
-                                    const std::vector<sat::Lit> &idx,
+                                    std::span<const sat::Lit> idx,
                                     size_t base, int bits);
 };
 

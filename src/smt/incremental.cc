@@ -147,7 +147,8 @@ IncrementalContext::literalsOf(TermRef t)
     // No smt.bitblast span: callers ask for hole leaves, which are
     // already blasted. Gates made here, if any, are booked by the
     // next span's bookStats().
-    std::vector<sat::Lit> lits = blaster->blast(t);
+    std::span<const sat::Lit> enc = blaster->blast(t);
+    std::vector<sat::Lit> lits(enc.begin(), enc.end());
     freezeOutputs();
     return lits;
 }

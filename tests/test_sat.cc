@@ -398,6 +398,103 @@ TEST(Sat, LearnedClauseAccountingExact)
               st.learnedClauses - st.learnedUnits - st.learnedDeleted);
 }
 
+namespace
+{
+
+/** m random 3-literal clauses over n variables, no repeated var. */
+std::vector<std::vector<Lit>>
+random3Sat(int n, int m, uint32_t seed)
+{
+    std::mt19937 rng(seed);
+    std::vector<std::vector<Lit>> cnf;
+    while (static_cast<int>(cnf.size()) < m) {
+        std::vector<Lit> cl;
+        while (cl.size() < 3) {
+            // Two statements: the draws must not depend on the
+            // compiler's argument evaluation order.
+            int var = static_cast<int>(rng() % n);
+            Lit l(var, rng() % 2 == 0);
+            bool dup = false;
+            for (Lit e : cl)
+                dup = dup || e.var() == l.var();
+            if (!dup)
+                cl.push_back(l);
+        }
+        cnf.push_back(cl);
+    }
+    return cnf;
+}
+
+/**
+ * The checks a moved clause database must pass after a solve: every
+ * clause watched twice from its first two literals, and the O(1)
+ * learned count equal to a recount.
+ */
+void
+expectDatabaseIntact(const Solver &s)
+{
+    EXPECT_EQ(s.auditWatchInvariants(), 0);
+    EXPECT_EQ(s.liveLearnedClauses(), s.liveLearnedCount());
+}
+
+} // namespace
+
+TEST(Sat, ArenaCompactionKeepsTheClauseDatabase)
+{
+    // A small learned-clause budget makes reduceDb() delete often
+    // enough that its garbage passes half the arena, so it compacts
+    // mid-search and moves live learned clauses, reasons among them.
+    // The simp copies also compact at every round end, inprocessing
+    // included. A compaction that lost, reordered or misplaced a
+    // literal shows up as a watch violation, a proof step the checker
+    // rejects, or a model that misses an original clause.
+    for (bool simp : {false, true}) {
+        SCOPED_TRACE(simp ? "simp" : "no simp");
+        Solver::Options o;
+        o.learnedLimitBase = 8;
+        o.restartBase = 16;
+        o.simp.enabled = simp;
+        o.simp.inprocessConflicts = 256;
+
+        owl::sat::Cnf cnf;
+        DratProof proof;
+        Solver unsat(o);
+        unsat.setCaptureCnf(&cnf);
+        unsat.setProofSink(&proof);
+        addPigeonhole(unsat, 8, 7);
+        ASSERT_EQ(unsat.solve(), Result::Unsat);
+        expectDatabaseIntact(unsat);
+        EXPECT_TRUE(owl::sat::checkDrat(cnf, proof));
+        const auto &st = unsat.stats();
+        EXPECT_GT(st.learnedDeleted, 0u);
+        if (simp) {
+            EXPECT_GT(unsat.simpStats().rounds, 1u);
+            EXPECT_GT(st.arenaCompactions, unsat.simpStats().rounds);
+        } else {
+            EXPECT_GT(st.arenaCompactions, 0u);
+        }
+
+        // Satisfiable, near the 3-SAT threshold: a few thousand
+        // conflicts.
+        const int n = 200;
+        std::vector<std::vector<Lit>> formula = random3Sat(n, 840, 1);
+        Solver sat(o);
+        for (int i = 0; i < n; i++)
+            (void)sat.newVar();
+        for (const auto &cl : formula)
+            ASSERT_TRUE(sat.addClause(cl));
+        ASSERT_EQ(sat.solve(), Result::Sat);
+        expectDatabaseIntact(sat);
+        EXPECT_GT(sat.stats().arenaCompactions, 0u);
+        for (const auto &cl : formula) {
+            bool satisfied = false;
+            for (Lit l : cl)
+                satisfied |= sat.modelValue(l.var()) != l.negated();
+            EXPECT_TRUE(satisfied);
+        }
+    }
+}
+
 TEST(Sat, FailedAssumptionSolvesLeaveSolverSound)
 {
     // Regression for the incremental-session bug: analyzeFinal() used

@@ -274,12 +274,18 @@ TEST_F(SmtTest, StrashSharesXorUnderComplementedInputs)
     TermRef b = tt.freshVar("b", 4);
     sat::Solver solver;
     BitBlaster bb(tt, solver);
-    std::vector<sat::Lit> x = bb.blast(tt.mkXor(a, b));
+    // blast() returns a span into the blaster's pool; copy each
+    // encoding before the next blast can move the pool.
+    auto blastCopy = [&](TermRef t) {
+        std::span<const sat::Lit> enc = bb.blast(t);
+        return std::vector<sat::Lit>(enc.begin(), enc.end());
+    };
+    std::vector<sat::Lit> x = blastCopy(tt.mkXor(a, b));
     int vars = solver.numVars();
-    std::vector<sat::Lit> na = bb.blast(tt.mkXor(tt.mkNot(a), b));
-    std::vector<sat::Lit> nb = bb.blast(tt.mkXor(a, tt.mkNot(b)));
+    std::vector<sat::Lit> na = blastCopy(tt.mkXor(tt.mkNot(a), b));
+    std::vector<sat::Lit> nb = blastCopy(tt.mkXor(a, tt.mkNot(b)));
     std::vector<sat::Lit> nn =
-        bb.blast(tt.mkXor(tt.mkNot(a), tt.mkNot(b)));
+        blastCopy(tt.mkXor(tt.mkNot(a), tt.mkNot(b)));
     for (int i = 0; i < 4; i++) {
         EXPECT_EQ(na[i], ~x[i]) << i;
         EXPECT_EQ(nb[i], ~x[i]) << i;
