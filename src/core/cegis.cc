@@ -218,9 +218,8 @@ InstrSynthesizer::verifyCandidate(const ila::Instr &instr,
         sc.compileInstr(instr).violation(tt);
 
     smt::Model model;
-    smt::SolveLimits lims = opts.solveLimits();
-    lims.ackermannSeeds = &ackSeeds[instr.name()];
-    CheckResult r = smt::checkSat(tt, assertions, &model, lims, stats);
+    CheckResult r =
+        smt::checkSat(tt, assertions, &model, opts.solveLimits(), stats);
     switch (r) {
       case CheckResult::Unsat:
         span.attr("result", "valid");

@@ -38,7 +38,6 @@
 #include "ila/ila.h"
 #include "oyster/ir.h"
 #include "oyster/symeval.h"
-#include "smt/ackermann.h"
 #include "smt/incremental.h"
 #include "smt/solver.h"
 
@@ -305,15 +304,6 @@ class InstrSynthesizer
     const ila::Ila &spec;
     const AbsFunc &alpha;
     std::map<int, std::string> memNames; // decl index -> memory name
-    /**
-     * Per-instruction cache of congruence pairs the lazy Ackermann
-     * refinement has had to instantiate (smt::AckermannSeeds):
-     * successive verify queries of one instruction rebuild
-     * near-identical read sets, so seeding the known-violated pairs
-     * into round 1 collapses the refinement loop to first
-     * discoveries only.
-     */
-    std::map<std::string, smt::AckermannSeeds> ackSeeds;
 
     SynthStatus synthStep(const ila::Instr &instr,
                           const std::vector<Counterexample> &cexes,

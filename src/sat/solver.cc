@@ -959,16 +959,6 @@ Solver::modelValue(int var) const
     return model[var] == lTrue;
 }
 
-void
-Solver::setPhaseHints(const std::vector<bool> &hints)
-{
-    size_t n = hints.size() < static_cast<size_t>(nVars)
-                   ? hints.size()
-                   : static_cast<size_t>(nVars);
-    for (size_t v = 0; v < n; v++)
-        savedPhase[v] = hints[v];
-}
-
 // ---- binary heap keyed by activity -------------------------------------
 
 void

@@ -250,19 +250,6 @@ class Solver
     bool modelValue(int var) const;
 
     /**
-     * Seed the phase-saving table: variable v starts with preferred
-     * polarity hints[v] (variables beyond the hint vector keep
-     * the negative default phase). Purely a search-order hint — the clause
-     * database and the verdict are unaffected. Used by the lazy
-     * Ackermann refinement loop to warm-start each restarted round
-     * from the previous round's model: the re-encoded formula shares
-     * its variable numbering with the previous round (bit-blasting is
-     * deterministic), so the old model nearly satisfies everything
-     * and search only has to repair around the new lemma clauses.
-     */
-    void setPhaseHints(const std::vector<bool> &hints);
-
-    /**
      * Freeze a variable: the pre/inprocessing pass must never
      * eliminate it. Mandatory for every variable that future
      * addClause() calls or solve() assumptions can mention — the

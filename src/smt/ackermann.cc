@@ -2,7 +2,9 @@
 
 #include <algorithm>
 
+#include "base/logging.h"
 #include "obs/obs.h"
+#include "smt/bitblast.h"
 
 namespace owl::smt
 {
@@ -19,8 +21,7 @@ AckermannManager::congruence(TermRef a, TermRef b)
 }
 
 AckermannManager::Registration
-AckermannManager::registerReads(const std::vector<TermRef> &reads_in,
-                                bool eager)
+AckermannManager::registerReads(const std::vector<TermRef> &reads_in)
 {
     Registration out;
     std::vector<TermRef> batch = reads_in;
@@ -70,53 +71,7 @@ AckermannManager::registerReads(const std::vector<TermRef> &reads_in,
     return out;
 }
 
-std::vector<TermRef>
-AckermannManager::instantiateSeeds(const AckermannSeeds &seeds)
-{
-    std::vector<TermRef> out;
-    for (const auto &[mem, i, j] : seeds.pairs) {
-        auto it = byMemory.find(static_cast<int>(mem));
-        if (it == byMemory.end())
-            continue;
-        const std::vector<size_t> &group = it->second;
-        // This query may have registered fewer reads of the memory
-        // than the query the key came from.
-        if (i >= j || j >= group.size())
-            continue;
-        uint64_t key = (static_cast<uint64_t>(group[i]) << 32) |
-                       group[j];
-        if (!instantiated.insert(key).second)
-            continue;
-        TermRef cong = congruence(reads[group[i]], reads[group[j]]);
-        if (tt.isTrue(cong))
-            continue;
-        out.push_back(cong);
-    }
-    OWL_COUNTER_ADD("smt.ackermann.seeded", out.size());
-    return out;
-}
-
-void
-AckermannManager::exportInstantiated(AckermannSeeds &seeds) const
-{
-    // Reverse map: global registration index -> per-memory ordinal.
-    std::map<size_t, std::pair<uint32_t, uint32_t>> ordinal;
-    for (const auto &[mem, group] : byMemory) {
-        for (size_t k = 0; k < group.size(); k++)
-            ordinal[group[k]] = {static_cast<uint32_t>(mem),
-                                 static_cast<uint32_t>(k)};
-    }
-    for (uint64_t key : instantiated) {
-        auto lo = ordinal.find(key >> 32);
-        auto hi = ordinal.find(key & 0xffffffffu);
-        if (lo == ordinal.end() || hi == ordinal.end())
-            continue;
-        seeds.pairs.emplace(lo->second.first, lo->second.second,
-                            hi->second.second);
-    }
-}
-
-std::vector<TermRef>
+std::vector<std::pair<TermRef, TermRef>>
 AckermannManager::scanModel(const std::function<BitVec(TermRef)> &value)
 {
     std::vector<std::pair<size_t, size_t>> violated;
@@ -146,19 +101,59 @@ AckermannManager::scanModel(const std::function<BitVec(TermRef)> &value)
             }
         }
     }
-    // Instantiate in lexicographic (i, j) registration order — the
-    // same sequence eager emission uses — so the lemma terms (and the
-    // CNF their blasting appends) do not depend on the byMemory
-    // iteration order.
+    // Lexicographic (i, j) registration order, the sequence eager
+    // emission uses, so the lemma clauses (and the gates they add) do
+    // not depend on the byMemory iteration order.
     std::sort(violated.begin(), violated.end());
-    std::vector<TermRef> out;
+    std::vector<std::pair<TermRef, TermRef>> out;
     out.reserve(violated.size());
-    for (const auto &[i, j] : violated) {
-        out.push_back(congruence(reads[i], reads[j]));
-        lemma_count++;
-    }
+    for (const auto &[i, j] : violated)
+        out.emplace_back(reads[i], reads[j]);
     OWL_COUNTER_ADD("smt.ackermann.lemmas", out.size());
     return out;
+}
+
+sat::Result
+AckermannManager::solveRefining(sat::Solver &solver, BitBlaster &blaster,
+                                const std::vector<sat::Lit> &assumptions,
+                                RefineStats &out)
+{
+    // In place: lemmas go into the live solver, which keeps its
+    // learned clauses, phases and simplified database across rounds.
+    // A round adds a few gates and one clause per pair, far below the
+    // solver's re-simplification trigger. Terminates because every
+    // round instantiates at least one new pair from the finite pair
+    // set.
+    out = RefineStats{};
+    sat::Result r;
+    while (true) {
+        r = solver.solve(assumptions);
+        if (r != sat::Result::Sat || eager || pair_bound == 0)
+            break;
+        out.scans++;
+        std::vector<std::pair<TermRef, TermRef>> pairs = scanModel(
+            [&](TermRef t) { return blaster.modelValue(t); });
+        if (pairs.empty())
+            break; // congruence-clean: genuinely Sat
+        obs::ScopedSpan ack_span("smt.ackermann");
+        {
+            obs::ScopedSpan bb_span("smt.bitblast");
+            size_t cached = blaster.cachedTerms();
+            for (const auto &[a, b] : pairs)
+                blaster.assertCongruence(a, b);
+            owl_assert(blaster.cachedTerms() == cached,
+                       "lazy refinement blasted a term after a solve");
+            blaster.bookStats(bb_span);
+        }
+        out.rounds++;
+        out.lemmas += pairs.size();
+        OWL_COUNTER_ADD("smt.ackermann_constraints", pairs.size());
+        ack_span.attr("constraints", pairs.size());
+        ack_span.attr("rounds", out.rounds);
+    }
+    OWL_COUNTER_ADD("smt.ackermann.scans", out.scans);
+    OWL_COUNTER_ADD("smt.ackermann.rounds", out.rounds);
+    return r;
 }
 
 } // namespace owl::smt

@@ -24,23 +24,25 @@
  *
  *  - scanModel() checks a satisfying model for read-consistency
  *    violations: two reads of the same memory whose address values
- *    agree but whose read values differ. Each violated pair yields
- *    its congruence term exactly once (the instance is marked
- *    instantiated); the caller asserts those as ordinary constraints
- *    and re-solves. A model that scans clean is consistent with SOME
- *    memory function, so the query is genuinely Sat under the full
- *    eager encoding — which is why lazy and eager verdicts (and, via
- *    lexmin canonicalization, synthesized holes) are identical.
+ *    agree but whose read values differ. Each violated pair is
+ *    returned exactly once (the instance is marked instantiated).
+ *    solveRefining() asserts those pairs into the live solver at
+ *    literal level (BitBlaster::assertCongruence) and re-solves. A
+ *    model that scans clean is consistent with SOME memory function,
+ *    so the query is genuinely Sat under the full eager encoding —
+ *    which is why lazy and eager verdicts (and, via lexmin
+ *    canonicalization, synthesized holes) are identical.
  *
  * Termination: every scan on a Sat model either returns no lemmas
  * (converged) or instantiates at least one new pair from the finite
  * pair set, so a refinement loop re-solves at most pairBound() times.
  *
  * Counters: the manager owns `smt.ackermann.lemmas` (lazy congruence
- * instances handed out) and `smt.ackermann.pair_bound` (same-memory
- * pairs registered — the eager instantiation bound); callers book
- * `smt.ackermann_constraints` (congruences actually asserted, eager
- * or lazy), `smt.ackermann.rounds` and `smt.ackermann.scans`.
+ * instances handed out), `smt.ackermann.pair_bound` (same-memory
+ * pairs registered — the eager instantiation bound) and
+ * `smt.ackermann.{rounds,scans}`; `smt.ackermann_constraints`
+ * (congruences actually asserted, eager or lazy) is booked by
+ * solveRefining() for lemmas and by the callers for the rest.
  */
 
 #ifndef OWL_SMT_ACKERMANN_H
@@ -49,39 +51,37 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <set>
-#include <tuple>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
+#include "sat/solver.h"
 #include "smt/term.h"
 
 namespace owl::smt
 {
 
-/**
- * Cross-query memory of which congruence pairs refinement has had to
- * instantiate, keyed structurally — (memory id, per-memory read
- * registration ordinal i, ordinal j) — so it survives term-table
- * rebuilds. CEGIS keeps one per instruction: successive verify
- * queries of one instruction rebuild near-identical read sets, so
- * pre-asserting the previously violated pairs in round 1 collapses
- * the refinement loop to first discoveries only (each pair pays its
- * restart exactly once per instruction, not once per iteration).
- * Soundness does not depend on the keying being stable: every
- * congruence over a same-memory read pair is a valid axiom, so a key
- * that drifts to a "wrong" pair merely asserts a harmless extra
- * instance.
- */
-struct AckermannSeeds
+class BitBlaster; // smt/bitblast.h
+
+/** Work done by AckermannManager::solveRefining(). */
+struct RefineStats
 {
-    std::set<std::tuple<uint32_t, uint32_t, uint32_t>> pairs;
+    uint64_t scans = 0;  ///< Sat models scanned
+    uint64_t rounds = 0; ///< lemma-triggered re-solves
+    uint64_t lemmas = 0; ///< congruences asserted from scans
 };
 
 class AckermannManager
 {
   public:
-    explicit AckermannManager(TermTable &tt_in) : tt(tt_in) {}
+    /**
+     * `eager` fixes the mode for the manager's life: eager pairs every
+     * read at registration, lazy refines from model scans.
+     */
+    AckermannManager(TermTable &tt_in, bool eager_in)
+        : tt(tt_in), eager(eager_in)
+    {
+    }
 
     /** Outcome of registering a batch of base reads. */
     struct Registration
@@ -91,10 +91,10 @@ class AckermannManager
         /** Distinct reads not seen before, in sorted TermRef order. */
         std::vector<TermRef> newReads;
         /**
-         * Address children of the new reads. Lazy callers must make
-         * these decodable in SAT models before the first solve
-         * (blast them — and, for incremental solvers running simp,
-         * freeze them), so scanModel() can read address values.
+         * Address children of the new reads. Lazy callers must blast
+         * these and the reads, and freeze their literals, before the
+         * first solve: scanModel() decodes them and lemmas are built
+         * over them.
          */
         std::vector<TermRef> addresses;
     };
@@ -105,35 +105,33 @@ class AckermannManager
      * returns the non-trivial congruences pairing each new read
      * against every same-memory read known before it.
      */
-    Registration registerReads(const std::vector<TermRef> &reads_in,
-                               bool eager);
+    Registration registerReads(const std::vector<TermRef> &reads_in);
 
     /**
      * Scan a satisfying model for violated congruences. `value` must
      * return the model value of any registered read or address term.
-     * Returns the congruence terms of violated pairs not yet
-     * instantiated (marking them instantiated), in deterministic
-     * (memory id, registration order) order; empty means the model
-     * is congruence-clean.
+     * Returns the violated read pairs not yet instantiated (marking
+     * them instantiated), in lexicographic registration order; empty
+     * means the model is congruence-clean.
      */
-    std::vector<TermRef>
+    std::vector<std::pair<TermRef, TermRef>>
     scanModel(const std::function<BitVec(TermRef)> &value);
 
     /**
-     * Instantiate every seeded pair that exists in the current read
-     * set (marking it instantiated), in deterministic key order.
-     * Trivially-true congruences fold away; already-instantiated
-     * pairs are skipped. Booked under `smt.ackermann.seeded`, NOT
-     * `smt.ackermann.lemmas` — seeds are pre-asserted before any
-     * model scan, so "lemmas > 0 implies rounds > 0" stays true.
+     * The solve of checkSat and IncrementalContext::check, with the
+     * lazy refinement loop: solve under `assumptions`; in lazy mode,
+     * on Sat, scan the model, assert each violated pair into the same
+     * solver through BitBlaster::assertCongruence, and solve again,
+     * until the model is congruence-clean or the verdict is not Sat.
+     * Every registered read and address must be blasted, with its
+     * literals frozen against elimination, before the first solve.
+     * Blasts no term (asserted), so nothing it adds can mention an
+     * eliminated variable. Books `smt.ackermann.{scans,rounds}` and
+     * `smt.ackermann_constraints`; `out` gets this call's work.
      */
-    std::vector<TermRef> instantiateSeeds(const AckermannSeeds &seeds);
-
-    /**
-     * Record every pair instantiated so far (seeded or scan-demanded)
-     * into `seeds`; idempotent set insertion.
-     */
-    void exportInstantiated(AckermannSeeds &seeds) const;
+    sat::Result solveRefining(sat::Solver &solver, BitBlaster &blaster,
+                              const std::vector<sat::Lit> &assumptions,
+                              RefineStats &out);
 
     /** Distinct base reads registered so far. */
     size_t knownReads() const { return reads.size(); }
@@ -143,21 +141,19 @@ class AckermannManager
      * congruences fold away). Lazy lemmas can never exceed this.
      */
     uint64_t pairBound() const { return pair_bound; }
-    /** Congruence instances handed out by scanModel(). */
-    uint64_t lemmas() const { return lemma_count; }
 
   private:
     TermTable &tt;
+    const bool eager;
     /** Registration order; index is the pair-key id. */
     std::vector<TermRef> reads;
     std::unordered_set<uint32_t> seen;
     /** Memory id -> indices into `reads` (std::map: deterministic
-     * scan order matters for reproducible lemma term creation). */
+     * iteration order). */
     std::map<int, std::vector<size_t>> byMemory;
     /** Instantiated pair keys (lo index << 32 | hi index). */
     std::unordered_set<uint64_t> instantiated;
     uint64_t pair_bound = 0;
-    uint64_t lemma_count = 0;
 
     /** addr_a = addr_b -> a = b (may fold in the term table). */
     TermRef congruence(TermRef a, TermRef b);

@@ -277,6 +277,22 @@ BitBlaster::assertTrue(TermRef t)
     solver.addClause(blast(t)[0]);
 }
 
+void
+BitBlaster::assertCongruence(TermRef read_a, TermRef read_b)
+{
+    const Node &na = tt.node(read_a);
+    const Node &nb = tt.node(read_b);
+    owl_assert(na.op == Op::BaseRead && nb.op == Op::BaseRead &&
+                   na.a == nb.a,
+               "congruence needs two reads of one memory");
+    for (TermRef t : {read_a, read_b, na.children[0], nb.children[0]})
+        owl_assert(isBlasted(t), "congruence over an un-blasted term");
+    // Gates never touch the pool, so the four spans stay valid.
+    Lit addr_eq = eqVec(encoding(na.children[0]), encoding(nb.children[0]));
+    Lit val_eq = eqVec(encoding(read_a), encoding(read_b));
+    solver.addClause(~addr_eq, val_eq);
+}
+
 BitVec
 BitBlaster::modelValue(TermRef t) const
 {
@@ -323,6 +339,15 @@ BitBlaster::mulVec(std::span<const Lit> a, std::span<const Lit> b)
             pp[i + j] = gAnd(a[j], b[i]);
         acc = addVec(acc, pp, lConst(false));
     }
+    return acc;
+}
+
+Lit
+BitBlaster::eqVec(std::span<const Lit> a, std::span<const Lit> b)
+{
+    Lit acc = lConst(true);
+    for (size_t i = 0; i < a.size(); i++)
+        acc = gAnd(acc, ~gXor(a[i], b[i]));
     return acc;
 }
 
@@ -508,13 +533,9 @@ BitBlaster::blastNode(TermRef t, std::vector<Lit> &out)
         }
         break;
       }
-      case Op::Eq: {
-        Lit acc = lConst(true);
-        for (int i = 0; i < tt.width(n.children[0]); i++)
-            acc = gAnd(acc, ~gXor(child(0)[i], child(1)[i]));
-        out = {acc};
+      case Op::Eq:
+        out = {eqVec(child(0), child(1))};
         break;
-      }
       case Op::Ult:
         out = {ultVec(child(0), child(1))};
         break;

@@ -68,6 +68,20 @@ class BitBlaster
     /** Assert that a 1-bit term is true. */
     void assertTrue(TermRef t);
 
+    /**
+     * Assert the Ackermann congruence addr_a = addr_b -> a = b of two
+     * reads of one memory at literal level: a hashed XNOR per bit and
+     * an AND chain per side (the gates an Eq term blasts to), then the
+     * one clause ~addr_eq v val_eq. Both reads and both addresses must
+     * already be blasted, and their literals must have survived
+     * simplification: callers freeze them before the first solve.
+     * Blasts no term, so it is safe between solves of a simplifying
+     * solver, where a term-level congruence is not: mkEq folding can
+     * reduce it to subterms (an ite condition inside an address)
+     * whose unfrozen encodings may be eliminated by then.
+     */
+    void assertCongruence(TermRef read_a, TermRef read_b);
+
     /** The always-true literal. */
     sat::Lit trueLit() const { return tl; }
 
@@ -194,6 +208,9 @@ class BitBlaster
     std::vector<sat::Lit> mulVec(std::span<const sat::Lit> a,
                                  std::span<const sat::Lit> b);
     std::vector<sat::Lit> negVec(std::span<const sat::Lit> a);
+    /** a == b as one literal: AND over the bitwise XNORs. */
+    sat::Lit eqVec(std::span<const sat::Lit> a,
+                   std::span<const sat::Lit> b);
     sat::Lit ultVec(std::span<const sat::Lit> a,
                     std::span<const sat::Lit> b);
     std::vector<sat::Lit> shiftVec(std::span<const sat::Lit> val,

@@ -28,7 +28,8 @@ resultName(sat::Result r)
 IncrementalContext::IncrementalContext(TermTable &tt_in,
                                        const SolverPolicy &p)
     : tt(tt_in), sessionPolicy(p),
-      solver(std::make_unique<sat::Solver>(p.satOptions())), ack(tt_in)
+      solver(std::make_unique<sat::Solver>(p.satOptions())),
+      ack(tt_in, p.eagerAckermann)
 {
     // The session maintains the freeze discipline pre/inprocessing
     // needs, so it honours the policy's preprocess flag. The proof
@@ -86,8 +87,7 @@ IncrementalContext::registerLeaves(const std::vector<TermRef> &roots)
     // and (b) their output literals enter the cache-output log and
     // get frozen by the caller's freezeOutputs() before simp could
     // eliminate a variable a future lemma clause mentions.
-    AckermannManager::Registration reg =
-        ack.registerReads(reads, sessionPolicy.eagerAckermann);
+    AckermannManager::Registration reg = ack.registerReads(reads);
     for (TermRef r : reg.newReads) {
         if (leafSeen.insert(r.idx).second)
             modelLeaves.push_back(r);
@@ -272,49 +272,21 @@ IncrementalContext::check(Model *model, const SolveLimits &limits,
 
     // Solve, then (lazy mode) refine: scan each Sat model for
     // read-consistency violations and assert the violated congruence
-    // instances as permanent session facts — through the blaster and
-    // freezeOutputs(), so they are captured and their fresh gate
-    // outputs frozen exactly like any other permanent assertion. The
-    // loop runs inside every check(), including lexmin
-    // canonicalization probes, so every verdict any caller sees is
-    // eager-equivalent.
-    sat::Result r;
-    uint64_t ack_rounds = 0, ack_scans = 0, ack_lemmas = 0;
-    const bool lazy = !sessionPolicy.eagerAckermann;
+    // instances as permanent session facts, at literal level over the
+    // read and address bits registerLeaves() froze. The loop runs
+    // inside every check(), including lexmin canonicalization probes,
+    // so every verdict any caller sees is eager-equivalent.
     solver->setTimeLimit(limits.timeLimit);
     solver->setConflictLimit(limits.conflictLimit);
     solver->setCancelFlag(limits.cancelFlag);
     solver->setPhaseProfiling(sessionPolicy.profileSat);
-    while (true) {
-        r = solver->solve(assumptions);
-        if (r != sat::Result::Sat || !lazy || ack.pairBound() == 0)
-            break;
-        ack_scans++;
-        istats.ackermannScans++;
-        std::vector<TermRef> lemmas = ack.scanModel(
-            [&](TermRef t) { return blaster->modelValue(t); });
-        if (lemmas.empty())
-            break; // congruence-clean: genuinely Sat
-        obs::ScopedSpan ack_span("smt.ackermann");
-        {
-            obs::ScopedSpan bb_span("smt.bitblast");
-            for (TermRef cong : lemmas) {
-                blaster->assertTrue(cong);
-                istats.ackermannConstraints++;
-            }
-            blaster->bookStats(bb_span);
-        }
-        freezeOutputs();
-        ack_lemmas += lemmas.size();
-        istats.ackermannLemmas += lemmas.size();
-        ack_rounds++;
-        istats.ackermannRounds++;
-        OWL_COUNTER_ADD("smt.ackermann_constraints", lemmas.size());
-        ack_span.attr("constraints", lemmas.size());
-        ack_span.attr("rounds", ack_rounds);
-    }
-    OWL_COUNTER_ADD("smt.ackermann.scans", ack_scans);
-    OWL_COUNTER_ADD("smt.ackermann.rounds", ack_rounds);
+    RefineStats refine;
+    sat::Result r = ack.solveRefining(*solver, *blaster, assumptions,
+                                      refine);
+    istats.ackermannConstraints += refine.lemmas;
+    istats.ackermannLemmas += refine.lemmas;
+    istats.ackermannRounds += refine.rounds;
+    istats.ackermannScans += refine.scans;
     lastConditional =
         r == sat::Result::Unsat && solver->lastUnsatWasConditional();
 
@@ -357,20 +329,20 @@ IncrementalContext::check(Model *model, const SolveLimits &limits,
         OWL_HISTOGRAM_RECORD("smt.query_conflicts", d_conflicts);
         OWL_HISTOGRAM_RECORD("smt.query_ackermann",
                              istats.ackermannConstraints);
-        OWL_HISTOGRAM_RECORD("smt.query_ack_rounds", ack_rounds);
+        OWL_HISTOGRAM_RECORD("smt.query_ack_rounds", refine.rounds);
     }
     OWL_TRACE_EVENT("smt", "checkSat(incremental) result=",
                     resultName(r), " groups=", activations.size(),
                     " terms=", tt.numNodes(),
                     " sat_vars=", solver->numVars(),
-                    " ack_rounds=", ack_rounds,
+                    " ack_rounds=", refine.rounds,
                     " conflicts=", d_conflicts,
                     " propagations=", d_props);
     if (stats) {
         stats->satVars = solver->numVars();
         stats->ackermannConstraints = istats.ackermannConstraints;
-        stats->ackermannLemmas = ack_lemmas;
-        stats->ackermannRounds = ack_rounds;
+        stats->ackermannLemmas = refine.lemmas;
+        stats->ackermannRounds = refine.rounds;
         stats->conflicts = d_conflicts;
         stats->propagations = d_props;
         stats->termNodes = tt.numNodes();

@@ -1,6 +1,7 @@
 #include "smt/solver.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "base/logging.h"
 #include "lint/diagnostic.h"
@@ -89,14 +90,13 @@ checkSat(TermTable &tt, const std::vector<TermRef> &assertions,
     // mkImplies/mkEq); the default lazy mode only registers the reads
     // and instantiates violated instances from model scans below.
     const SolverPolicy &policy = limits.solver;
-    const bool eager = policy.eagerAckermann;
-    AckermannManager ack(tt);
+    AckermannManager ack(tt, policy.eagerAckermann);
     AckermannManager::Registration reg;
     std::vector<TermRef> all = assertions;
     size_t n_ack = 0;
     {
         obs::ScopedSpan ack_span("smt.ackermann");
-        reg = ack.registerReads(base_reads, eager);
+        reg = ack.registerReads(base_reads);
         for (TermRef cong : reg.congruences) {
             all.push_back(cong);
             n_ack++;
@@ -107,128 +107,75 @@ checkSat(TermTable &tt, const std::vector<TermRef> &assertions,
     }
     OWL_COUNTER_ADD("smt.ackermann_constraints", n_ack);
     // With no same-memory pair there is nothing to refine on.
-    const bool lazy = !eager && ack.pairBound() > 0;
+    const bool lazy = !policy.eagerAckermann && ack.pairBound() > 0;
 
-    // Assumption-free solve with (lazy mode) restart-based
-    // refinement: each round re-encodes the assertions plus every
-    // lemma learned so far into a FRESH solver, so the CNF of round k
-    // is exactly the eager encoding restricted to the instantiated
-    // pair subset. Restarting (rather than asserting lemmas into the
-    // live solver) keeps pre/inprocessing unrestricted: an in-place
-    // lemma can mention the cached encoding of any subterm, and
-    // freezing the whole escape set to protect it measurably defeats
-    // variable elimination. Re-blasting is cheap next to search, and
-    // the converged round's CNF/proof pair is exactly what the DRAT
-    // checker needs. Terminates because every round instantiates at
-    // least one new pair from the finite pair set (smt/ackermann.h).
-    const sat::Solver::Options solver_opts = policy.satOptions();
-
-    std::unique_ptr<sat::Solver> solver;
-    std::unique_ptr<BitBlaster> blaster;
+    // One solver and one blaster for the whole query. Lazy mode
+    // refines in place (AckermannManager::solveRefining): each round
+    // asserts its violated congruences into the live solver, which
+    // keeps its simplified database, learned clauses and phases. So
+    // that a lemma never mentions an eliminated variable, every bit of
+    // each registered read and address is frozen before the first
+    // solve, and lemmas are encoded at literal level over exactly
+    // those bits (BitBlaster::assertCongruence). Nothing else is
+    // frozen: after the first solve checkSat blasts no term, which
+    // solveRefining asserts (DESIGN.md §14.2).
+    // Heap-allocated on purpose, like IncrementalContext's solver: a
+    // stack solver here raised serve-mix peak RSS from 198 to 202 MB
+    // (glibc malloc, 4-CPU x86-64) with identical work.
+    const auto solver_owner =
+        std::make_unique<sat::Solver>(policy.satOptions());
+    sat::Solver &solver = *solver_owner;
+    if (limits.timeLimit.count() > 0)
+        solver.setTimeLimit(limits.timeLimit);
+    if (limits.conflictLimit > 0)
+        solver.setConflictLimit(limits.conflictLimit);
+    solver.setCancelFlag(limits.cancelFlag);
+    solver.setPhaseProfiling(policy.profileSat);
+    // Proof checking replays the proof against exactly the clauses
+    // the solver saw, lemma clauses included.
     sat::Cnf cnf;
     sat::DratProof proof;
-    sat::Result r = sat::Result::Unknown;
-    bool trivially_false = false;
-    std::vector<TermRef> lazy_lemmas;
-    std::vector<bool> phase_hints;
-    uint64_t ack_rounds = 0, ack_scans = 0, ack_lemmas = 0;
-    // Pre-assert the caller's cached congruence pairs (violated by
-    // some earlier, structurally similar query) so round 1 already
-    // contains them: repeated verifies of one instruction then
-    // converge without re-running the refinement restarts that first
-    // discovered the pairs.
-    if (lazy && limits.ackermannSeeds) {
-        std::vector<TermRef> seeded =
-            ack.instantiateSeeds(*limits.ackermannSeeds);
-        lazy_lemmas.insert(lazy_lemmas.end(), seeded.begin(),
-                           seeded.end());
-        n_ack += seeded.size();
-        OWL_COUNTER_ADD("smt.ackermann_constraints", seeded.size());
+    if (policy.checkProofs) {
+        solver.setCaptureCnf(&cnf);
+        solver.setProofSink(&proof);
     }
-    while (true) {
-        solver = std::make_unique<sat::Solver>(solver_opts);
-        if (limits.timeLimit.count() > 0)
-            solver->setTimeLimit(limits.timeLimit);
-        if (limits.conflictLimit > 0)
-            solver->setConflictLimit(limits.conflictLimit);
-        solver->setCancelFlag(limits.cancelFlag);
-        solver->setPhaseProfiling(policy.profileSat);
-        cnf = sat::Cnf();
-        proof = sat::DratProof();
-        // Proof checking replays the proof against exactly the
-        // clauses the solver saw.
-        if (policy.checkProofs) {
-            solver->setCaptureCnf(&cnf);
-            solver->setProofSink(&proof);
-        }
-        blaster = std::make_unique<BitBlaster>(tt, *solver);
-        {
-            obs::ScopedSpan bb_span("smt.bitblast");
-            for (TermRef a : all) {
-                owl_assert(tt.width(a) == 1,
-                           "assertion must be 1-bit");
-                if (tt.isFalse(a)) {
-                    trivially_false = true;
-                    break;
-                }
-                blaster->assertTrue(a);
+    BitBlaster blaster(tt, solver);
+    bool trivially_false = false;
+    {
+        obs::ScopedSpan bb_span("smt.bitblast");
+        for (TermRef a : all) {
+            owl_assert(tt.width(a) == 1, "assertion must be 1-bit");
+            if (tt.isFalse(a)) {
+                trivially_false = true;
+                break;
             }
-            if (!trivially_false) {
-                for (TermRef cong : lazy_lemmas)
-                    blaster->assertTrue(cong);
-                // Lazy mode: the model scan decodes every registered
-                // read and its address, so their circuits must exist
-                // before the solve.
-                if (lazy) {
-                    for (size_t i = 0; i < reg.newReads.size(); i++) {
-                        blaster->blast(reg.newReads[i]);
-                        blaster->blast(reg.addresses[i]);
-                    }
+            blaster.assertTrue(a);
+        }
+        // Lazy mode: the model scan decodes every registered read and
+        // its address, and lemmas are built over their bits.
+        if (lazy && !trivially_false) {
+            solver.setFrozen(blaster.trueLit().var());
+            for (size_t i = 0; i < reg.newReads.size(); i++) {
+                for (TermRef t : {reg.newReads[i], reg.addresses[i]}) {
+                    for (sat::Lit l : blaster.blast(t))
+                        solver.setFrozen(l.var());
                 }
             }
-            bb_span.attr("sat_vars",
-                         static_cast<int64_t>(solver->numVars()));
-            bb_span.attr("terms",
-                         static_cast<int64_t>(tt.numNodes()));
-            blaster->bookStats(bb_span);
         }
-        if (trivially_false)
-            break;
-        // Warm-start refinement rounds from the previous round's
-        // model: the shared encoding prefix has identical variable
-        // numbering, so search only repairs around the new lemmas.
-        if (!phase_hints.empty())
-            solver->setPhaseHints(phase_hints);
-
-        r = solver->solve();
-        if (r != sat::Result::Sat || !lazy)
-            break;
-        ack_scans++;
-        std::vector<TermRef> lemmas = ack.scanModel(
-            [&](TermRef t) { return blaster->modelValue(t); });
-        if (lemmas.empty())
-            break; // congruence-clean: genuinely Sat
-        phase_hints.resize(static_cast<size_t>(solver->numVars()));
-        for (int v = 0; v < solver->numVars(); v++)
-            phase_hints[v] = solver->modelValue(v);
-        obs::ScopedSpan ack_span("smt.ackermann");
-        lazy_lemmas.insert(lazy_lemmas.end(), lemmas.begin(),
-                           lemmas.end());
-        n_ack += lemmas.size();
-        ack_lemmas += lemmas.size();
-        ack_rounds++;
-        OWL_COUNTER_ADD("smt.ackermann_constraints", lemmas.size());
-        ack_span.attr("constraints", lemmas.size());
-        ack_span.attr("rounds", ack_rounds);
+        bb_span.attr("sat_vars", static_cast<int64_t>(solver.numVars()));
+        bb_span.attr("terms", static_cast<int64_t>(tt.numNodes()));
+        blaster.bookStats(bb_span);
+    }
+    sat::Result r = sat::Result::Unknown;
+    RefineStats refine;
+    if (!trivially_false) {
+        r = ack.solveRefining(solver, blaster, {}, refine);
+        n_ack += refine.lemmas;
     }
     OWL_COUNTER_ADD("smt.sat_vars",
-                    static_cast<uint64_t>(solver->numVars()));
+                    static_cast<uint64_t>(solver.numVars()));
     OWL_COUNTER_ADD("smt.term_nodes",
                     static_cast<uint64_t>(tt.numNodes()));
-    OWL_COUNTER_ADD("smt.ackermann.scans", ack_scans);
-    OWL_COUNTER_ADD("smt.ackermann.rounds", ack_rounds);
-    if (lazy && limits.ackermannSeeds)
-        ack.exportInstantiated(*limits.ackermannSeeds);
 
     if (trivially_false) {
         // A constant-false assertion is refuted in the term DAG before
@@ -242,7 +189,7 @@ checkSat(TermTable &tt, const std::vector<TermRef> &assertions,
                                  obs::nowNs() - q_start);
             OWL_HISTOGRAM_RECORD("smt.query_conflicts", 0);
             OWL_HISTOGRAM_RECORD("smt.query_ackermann", n_ack);
-            OWL_HISTOGRAM_RECORD("smt.query_ack_rounds", ack_rounds);
+            OWL_HISTOGRAM_RECORD("smt.query_ack_rounds", 0);
         }
         return CheckResult::Unsat;
     }
@@ -256,9 +203,9 @@ checkSat(TermTable &tt, const std::vector<TermRef> &assertions,
     // but the routing is shared with the incremental context) carries
     // no proof obligation and is booked separately.
     bool proof_checked = false;
-    const sat::Stats &run_stats = solver->stats();
+    const sat::Stats &run_stats = solver.stats();
     bool unsat_conditional =
-        r == sat::Result::Unsat && solver->lastUnsatWasConditional();
+        r == sat::Result::Unsat && solver.lastUnsatWasConditional();
     if (policy.checkProofs && r == sat::Result::Unsat) {
         if (unsat_conditional) {
             OWL_COUNTER_INC("drat.unsat_conditional");
@@ -277,28 +224,28 @@ checkSat(TermTable &tt, const std::vector<TermRef> &assertions,
         }
     }
     span.attr("result", checkResultName(r));
-    span.attr("sat_vars", static_cast<int64_t>(solver->numVars()));
+    span.attr("sat_vars", static_cast<int64_t>(solver.numVars()));
     span.attr("conflicts", run_stats.conflicts);
     if (obs::enabled()) {
         OWL_HISTOGRAM_RECORD("smt.query_ns", obs::nowNs() - q_start);
         OWL_HISTOGRAM_RECORD("smt.query_conflicts",
                              run_stats.conflicts);
         OWL_HISTOGRAM_RECORD("smt.query_ackermann", n_ack);
-        OWL_HISTOGRAM_RECORD("smt.query_ack_rounds", ack_rounds);
+        OWL_HISTOGRAM_RECORD("smt.query_ack_rounds", refine.rounds);
     }
     OWL_TRACE_EVENT("smt", "checkSat result=", checkResultName(r),
                     " assertions=", assertions.size(),
                     " terms=", tt.numNodes(),
-                    " sat_vars=", solver->numVars(),
+                    " sat_vars=", solver.numVars(),
                     " ackermann=", n_ack,
-                    " ack_rounds=", ack_rounds,
+                    " ack_rounds=", refine.rounds,
                     " conflicts=", run_stats.conflicts,
                     " propagations=", run_stats.propagations);
     if (stats) {
-        stats->satVars = solver->numVars();
+        stats->satVars = solver.numVars();
         stats->ackermannConstraints = n_ack;
-        stats->ackermannLemmas = ack_lemmas;
-        stats->ackermannRounds = ack_rounds;
+        stats->ackermannLemmas = refine.lemmas;
+        stats->ackermannRounds = refine.rounds;
         stats->conflicts = run_stats.conflicts;
         stats->propagations = run_stats.propagations;
         stats->termNodes = tt.numNodes();
@@ -318,9 +265,9 @@ checkSat(TermTable &tt, const std::vector<TermRef> &assertions,
     if (model) {
         model->leafValues.clear();
         for (TermRef v : vars)
-            model->leafValues.emplace(v.idx, blaster->modelValue(v));
+            model->leafValues.emplace(v.idx, blaster.modelValue(v));
         for (TermRef b : base_reads)
-            model->leafValues.emplace(b.idx, blaster->modelValue(b));
+            model->leafValues.emplace(b.idx, blaster.modelValue(b));
     }
     return CheckResult::Sat;
 }

@@ -8,9 +8,10 @@
  * as an uninterpreted read function plus a write association list;
  * Ackermann expansion removes the UF). By default congruences are
  * instantiated lazily — solve, scan the model for read-consistency
- * violations, assert only the violated instances, re-solve
- * (smt/ackermann.h, DESIGN.md §14); SolverPolicy::eagerAckermann
- * restores the up-front quadratic expansion.
+ * violations, assert only the violated instances into the same
+ * solver, re-solve (smt/ackermann.h, DESIGN.md §14);
+ * SolverPolicy::eagerAckermann restores the up-front quadratic
+ * expansion.
  */
 
 #ifndef OWL_SMT_SOLVER_H
@@ -26,8 +27,6 @@
 
 namespace owl::smt
 {
-
-struct AckermannSeeds; // smt/ackermann.h
 
 /** Outcome of a checkSat call. */
 enum class CheckResult : uint8_t { Sat, Unsat, Unknown };
@@ -74,10 +73,10 @@ struct SolverPolicy
      */
     bool profileSat = false;
     /**
-     * SatELite-style pre/inprocessing (sat::SimpOptions). A fresh
-     * checkSat solves once with no assumptions, so nothing needs
-     * freezing; an IncrementalContext freezes every literal later
-     * clauses can mention. Model reconstruction keeps returned models
+     * SatELite-style pre/inprocessing (sat::SimpOptions). checkSat
+     * freezes only the memory read and address bits its lazy lemmas
+     * are built over; an IncrementalContext freezes every literal
+     * later clauses can mention. Model reconstruction keeps returned models
      * complete, and lexmin canonicalization keeps synthesized holes
      * bit-identical either way. Default-on; `owl synth
      * --no-preprocess` opts out pipeline-wide.
@@ -106,17 +105,6 @@ struct SolveLimits
     uint64_t conflictLimit = 0;             ///< 0 = unlimited
     /** Cooperative cancellation (polled by the SAT loop); may be null. */
     const std::atomic<bool> *cancelFlag = nullptr;
-    /**
-     * Optional cross-query lemma cache for the lazy refinement loop
-     * (smt/ackermann.h). When set, previously violated congruence
-     * pairs are pre-asserted in round 1 (booked under
-     * `smt.ackermann.seeded`) and pairs this call instantiates are
-     * recorded back, so a caller re-solving structurally similar
-     * queries (CEGIS verifying one instruction across iterations)
-     * pays each pair's refinement restart once, not once per query.
-     * Ignored in eager mode. Non-owning; may be null.
-     */
-    AckermannSeeds *ackermannSeeds = nullptr;
     SolverPolicy solver;
 };
 

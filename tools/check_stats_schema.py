@@ -55,7 +55,7 @@ TRACKED_COUNTERS = (
     "sat.conflicts", "sat.propagations", "sat.decisions",
     "sat.learned_clauses", "cegis.iterations", "cegis.counterexamples",
     "smt.checks", "smt.ackermann_constraints",
-    "smt.ackermann.lemmas", "smt.ackermann.seeded",
+    "smt.ackermann.lemmas",
     "smt.ackermann.rounds", "smt.ackermann.scans",
     "smt.ackermann.pair_bound",
     "sat.preprocess.rounds", "sat.preprocess.vars_eliminated",
@@ -427,15 +427,13 @@ def check_ackermann_stats(doc):
     # Counters only materialise once touched: an eager run books the
     # pair bound but never the lazy refinement counters.
     lemmas = counters.get("smt.ackermann.lemmas", 0)
-    seeded = counters.get("smt.ackermann.seeded", 0)
     pair_bound = counters.get("smt.ackermann.pair_bound", 0)
     rounds = counters.get("smt.ackermann.rounds", 0)
     scans = counters.get("smt.ackermann.scans", 0)
-    if lemmas + seeded > pair_bound:
+    if lemmas > pair_bound:
         fail("$/counters/smt.ackermann.lemmas",
-             "instantiated %d lemmas + %d seeds but only %d "
-             "same-memory pairs were ever registered"
-             % (lemmas, seeded, pair_bound))
+             "instantiated %d lemmas but only %d same-memory pairs "
+             "were ever registered" % (lemmas, pair_bound))
     if lemmas > 0 and rounds <= 0:
         fail("$/counters/smt.ackermann.rounds",
              "%d lemmas were instantiated without any refinement "
@@ -454,8 +452,8 @@ def check_eager_ackermann_stats(doc):
         fail("$/counters/smt.ackermann_constraints",
              "--eager-ackermann on a memory-bearing design asserted "
              "no congruence")
-    for name in ("smt.ackermann.lemmas", "smt.ackermann.seeded",
-                 "smt.ackermann.rounds", "smt.ackermann.scans"):
+    for name in ("smt.ackermann.lemmas", "smt.ackermann.rounds",
+                 "smt.ackermann.scans"):
         if counters.get(name, 0) != 0:
             fail("$/counters/%s" % name,
                  "--eager-ackermann run booked lazy refinement work "
