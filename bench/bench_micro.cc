@@ -1,8 +1,8 @@
 /**
  * @file
  * Google-benchmark micro benchmarks for the substrate layers: the SAT
- * solver, the bit-blaster, one fixed registry verify query through
- * smt::checkSat, symbolic evaluation of the RISC-V core,
+ * solver, the bit-blaster, one lazy-Ackermann query and one fixed
+ * registry verify query through smt::checkSat, symbolic evaluation of the RISC-V core,
  * one-instruction CEGIS, the AES accelerator interpreter, and the
  * netlist optimizer. These track the constants behind the Table 1
  * times.
@@ -115,6 +115,37 @@ BM_BitblastAddMulEquality(benchmark::State &state)
     }
 }
 BENCHMARK(BM_BitblastAddMulEquality)->Arg(8)->Arg(16)->Arg(32);
+
+/**
+ * A one-shot query the lazy Ackermann path must refine once: two
+ * reads of one memory whose addresses are forced equal while the
+ * values are asserted different. The first model violates
+ * congruence, one lemma over the read and address bits makes the
+ * query Unsat. Times the sealed path end to end: blast, freeze the
+ * lemma bits, simplify, solve, scan, refine, re-solve.
+ */
+static void
+BM_CheckSatLazyLemma(benchmark::State &state)
+{
+    smt::TermTable tt;
+    auto x = tt.freshVar("x", 8);
+    auto y = tt.freshVar("y", 8);
+    auto a1 = tt.mkAnd(x, tt.constant(8, 0x0f));
+    auto a2 = tt.mkAnd(y, tt.constant(8, 0x0f));
+    auto r1 = tt.baseRead(0, a1, 16);
+    auto r2 = tt.baseRead(0, a2, 16);
+    const std::vector<smt::TermRef> query = {
+        tt.mkEq(a1, a2), tt.mkNe(x, y), tt.mkNe(r1, r2)};
+    for (auto _ : state) {
+        smt::CheckStats stats;
+        smt::CheckResult r = smt::checkSat(tt, query, nullptr, {}, &stats);
+        if (r != smt::CheckResult::Unsat || stats.ackermannRounds != 1) {
+            state.SkipWithError("expected Unsat after one lemma round");
+            return;
+        }
+    }
+}
+BENCHMARK(BM_CheckSatLazyLemma);
 
 /**
  * The SAT-layer kernel of verification: one fixed query, built once,

@@ -434,8 +434,8 @@ InstrSynthesizer::synthStep(const ila::Instr &instr,
     // assumption-based re-solves against the already-blasted query.
     smt::IncrementalContext ctx(tt, opts.solver);
     for (const Counterexample &cex : cexes) {
-        ctx.assertPermanent(buildCexConstraint(
-            sketch, spec, alpha, tt, hole_vars, instr, cex));
+        ctx.assertPermanent({buildCexConstraint(
+            sketch, spec, alpha, tt, hole_vars, instr, cex)});
     }
 
     smt::CheckResult r = ctx.check(nullptr, opts.solveLimits(), stats);
@@ -510,7 +510,7 @@ InstrSynthesizer::synthesize(const ila::Instr &instr,
 
     auto finish = [&](SynthStatus status) {
         if (session) {
-            const smt::IncrementalStats &st = session->stats();
+            const smt::IncrementalStats st = session->stats();
             OWL_COUNTER_ADD("cegis.incremental.solve_calls",
                             st.solveCalls - session_base.solveCalls);
             OWL_COUNTER_ADD("cegis.incremental.clauses_reused",

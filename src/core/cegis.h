@@ -228,7 +228,7 @@ class SynthSession
     /** The solver policy the session was built with. */
     const smt::SolverPolicy &policy() const { return ctx.policy(); }
 
-    const smt::IncrementalStats &stats() const { return ctx.stats(); }
+    smt::IncrementalStats stats() const { return ctx.stats(); }
 
   private:
     const oyster::Design &sketch;

@@ -41,6 +41,12 @@ defaultJobs()
 {
     if (int n = envJobs())
         return n;
+    return availableCpus();
+}
+
+int
+availableCpus()
+{
     // The CPUs this thread may run on, not the machine's: under
     // taskset or a cpuset, nproc workers would share a few cores.
 #ifdef __linux__

@@ -36,6 +36,13 @@ namespace owl::serve
 constexpr size_t kMaxRequestLineBytes = size_t(1) << 20;
 
 /**
+ * Largest jobs file `owl serve --batch` reads: sixteen request lines'
+ * worth of the socket cap, far past any real batch (the smoke batch
+ * is under 1 KiB). Bigger files are refused before parsing.
+ */
+constexpr size_t kMaxBatchFileBytes = 16 * kMaxRequestLineBytes;
+
+/**
  * Bind a unix-domain stream socket at @p path (unlinking any stale
  * file first) and serve NDJSON requests until a shutdown command or
  * an unrecoverable socket error. Returns false (with *err set) when

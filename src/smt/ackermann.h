@@ -1,18 +1,17 @@
 /**
  * @file
- * Shared Ackermann-congruence bookkeeping for the uninterpreted
- * memory base reads of a query (or of a whole incremental session).
+ * Ackermann-congruence bookkeeping for the uninterpreted memory base
+ * reads of one IncrementalContext: a sealed one-shot query
+ * (smt::checkSat) or a whole session.
  *
  * The paper models memory base state as an uninterpreted read
  * function; removing the UF requires the congruence axioms
  *
  *     addr_i = addr_j  ->  read_i = read_j
  *
- * for every pair of BaseReads of the same memory. Historically both
- * smt::checkSat and smt::IncrementalContext expanded the full
- * quadratic pair set up front (eager Ackermann); this class is the
- * one place that pairing logic lives now, and it also implements the
- * lazy alternative (lemmas on demand, DESIGN.md §14):
+ * for every pair of BaseReads of the same memory. This class is the
+ * one place that pairing logic lives, eager (the full quadratic pair
+ * set up front) and lazy (lemmas on demand, DESIGN.md §14):
  *
  *  - registerReads() records every distinct BaseRead, grouped by
  *    memory. In eager mode it returns the congruence terms pairing
@@ -20,7 +19,9 @@
  *    pair set a from-scratch encode of the union would produce. In
  *    lazy mode nothing is returned; the reads (and their address
  *    children, which the caller must keep decodable in SAT models)
- *    are simply remembered.
+ *    are simply remembered. The context freezes their bits at
+ *    check() entry whenever pairBound() > 0, since lemmas are built
+ *    over them after the first solve (DESIGN.md §12.3).
  *
  *  - scanModel() checks a satisfying model for read-consistency
  *    violations: two reads of the same memory whose address values
@@ -42,7 +43,7 @@
  * pairs registered — the eager instantiation bound) and
  * `smt.ackermann.{rounds,scans}`; `smt.ackermann_constraints`
  * (congruences actually asserted, eager or lazy) is booked by
- * solveRefining() for lemmas and by the callers for the rest.
+ * solveRefining() for lemmas and by the context for the rest.
  */
 
 #ifndef OWL_SMT_ACKERMANN_H
@@ -133,8 +134,8 @@ class AckermannManager
                               const std::vector<sat::Lit> &assumptions,
                               RefineStats &out);
 
-    /** Distinct base reads registered so far. */
-    size_t knownReads() const { return reads.size(); }
+    /** Distinct base reads registered so far, in registration order. */
+    const std::vector<TermRef> &registeredReads() const { return reads; }
     /**
      * Same-memory read pairs registered so far — what eager expansion
      * would have instantiated (an upper bound: trivially-true

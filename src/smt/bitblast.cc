@@ -219,10 +219,14 @@ BitBlaster::gFullAdder(Lit a, Lit b, Lit cin, Lit &cout)
 std::span<const Lit>
 BitBlaster::blast(TermRef t)
 {
-    if (isBlasted(t))
+    if (isBlasted(t)) {
+        bstats.cacheHits++;
         return encoding(t);
+    }
     if (termOff.size() < tt.numNodes())
         termOff.resize(tt.numNodes(), kUnblasted);
+    // Encodings older than this call sit below the pool's current end.
+    const size_t reused_below = pool.size();
     // Blast children iteratively to bound recursion depth on long
     // ite/write chains: explicit post-order worklist.
     std::vector<TermRef> &stack = blastStack;
@@ -234,15 +238,19 @@ BitBlaster::blast(TermRef t)
             continue;
         }
         bool ready = true;
+        uint64_t reused = 0;
         for (TermRef c : tt.node(cur).children) {
             if (!isBlasted(c)) {
                 stack.push_back(c);
                 ready = false;
+            } else if (termOff[c.idx] < reused_below) {
+                reused++;
             }
         }
         if (!ready)
             continue;
         stack.pop_back();
+        bstats.cacheHits += reused;
         // Children's encodings are read straight out of the pool, so
         // the node is built in scratch and appended afterwards.
         blastNode(cur, nodeOut);

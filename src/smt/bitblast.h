@@ -36,6 +36,12 @@ struct BlastStats
     uint64_t gates = 0;
     /** Gate requests answered by an existing gate from the table. */
     uint64_t strashHits = 0;
+    /**
+     * Term references answered by an encoding an earlier blast() call
+     * made: the requested term itself, or a child of a term this call
+     * encodes. Counted per reference, not per distinct node.
+     */
+    uint64_t cacheHits = 0;
 };
 
 /**

@@ -1,14 +1,16 @@
 /**
  * @file
- * Incremental SMT solving for CEGIS: one persistent bit-blast cache
- * and one long-lived CDCL instance shared by a whole family of
- * closely related queries.
+ * The one SMT query engine: a bit-blast cache and a CDCL instance
+ * behind one API, used two ways.
  *
- * A fresh checkSat() call rebuilds the CNF encoding of the entire
- * query and throws away everything the SAT search learned. Across
- * CEGIS iterations that is almost pure waste: iteration k's synthesis
- * query is iteration k-1's query plus one new counterexample block
- * (paper §3.3, Equation (2)). IncrementalContext keeps the encoding:
+ *  - Sealed, single use. smt::checkSat() makes a context, asserts the
+ *    query as one permanent batch, seal()s it and calls check() once.
+ *  - A session. CEGIS keeps one context per instruction across
+ *    iterations: iteration k's synthesis query is iteration k-1's
+ *    query plus one counterexample block (paper §3.3, Equation (2)),
+ *    so each iteration encodes and solves only the delta.
+ *
+ * What a session keeps:
  *
  *  - Terms are blasted once into a persistent BitBlaster, so each
  *    iteration only encodes the delta (cache keying is the hash-consed
@@ -27,11 +29,18 @@
  *    proof claims (booked as drat.unsat_conditional); a genuine
  *    formula-level refutation emits the empty clause and the whole
  *    session proof replays through sat::checkDrat.
+ *
+ * The two uses differ in one place, the freeze set that check()
+ * hands the CNF simplifier at entry (DESIGN.md §12.3): a session
+ * freezes every blast-cache output, since later batches and
+ * assumptions may mention any of them; a sealed context freezes only
+ * the read and address bits its lazy Ackermann lemmas are built over.
  */
 
 #ifndef OWL_SMT_INCREMENTAL_H
 #define OWL_SMT_INCREMENTAL_H
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
@@ -61,9 +70,10 @@ struct IncrementalStats
      */
     uint64_t clausesReused = 0;
     /**
-     * Term-DAG nodes referenced by an addGroup()/assertPermanent()
-     * batch that were already in the bit-blast cache: encoding work a
-     * fresh per-iteration checkSat() would have redone.
+     * References the blaster answered from an encoding made by an
+     * earlier blast (BlastStats::cacheHits): encoding work a fresh
+     * per-iteration checkSat() would have redone, counted per
+     * reference rather than per distinct node.
      */
     uint64_t cacheHits = 0;
     /** Term-DAG nodes newly encoded to CNF by this session. */
@@ -94,27 +104,33 @@ struct IncrementalStats
 };
 
 /**
- * A persistent solving session over one TermTable.
+ * A solving context over one TermTable: a single sealed query or a
+ * persistent session.
  *
- * Usage mirrors checkSat(), split across time: assertPermanent() /
- * addGroup() to accumulate the query, check() to solve everything
- * asserted so far (permanent assertions unconditionally, every group
- * under its activation literal). Ackermann congruence for base reads
- * is maintained incrementally and, by default, lazily: check() scans
- * each Sat model for read-consistency violations and asserts only the
- * violated congruence instances — as permanent session facts, since
- * congruence is a property of the read UF, not of any one query — and
- * re-solves until the model is clean or Unsat (DESIGN.md §14).
- * SolverPolicy::eagerAckermann instead pairs each new batch against
- * every read seen before it, so the session carries exactly the
- * constraints a from-scratch eager encode of the union would.
+ * assertPermanent() / addGroup() accumulate the query, check() solves
+ * everything asserted so far (permanent assertions unconditionally,
+ * every group under its activation literal). Ackermann congruence for
+ * base reads is maintained incrementally and, by default, lazily:
+ * check() scans each Sat model for read-consistency violations and
+ * asserts only the violated congruence instances — as permanent
+ * facts, since congruence is a property of the read UF, not of any
+ * one query — and re-solves until the model is clean or Unsat
+ * (DESIGN.md §14). SolverPolicy::eagerAckermann instead pairs each
+ * new batch against every read seen before it, so the context carries
+ * exactly the constraints a from-scratch eager encode of the union
+ * would.
+ *
+ * Freezing happens in one place, at check() entry, before solve() can
+ * simplify: the true literal and every read and address bit when lazy
+ * Ackermann has a same-memory pair, and, unless the context is
+ * sealed, every blast-cache output logged since the last check().
+ * Freezing matters only to simplification inside solve(), so where
+ * between solves a literal is frozen does not change the CNF.
  *
  * The whole SolverPolicy is fixed at construction: the proof sink must
- * exist before the first clause lands, pre/inprocessing relies on the
- * freeze discipline from the first clause on (every bit-blast cache
- * output and every activation literal is frozen before it can be
- * eliminated), and lazily learned lemmas are permanent session facts,
- * so mixing Ackermann modes mid-session would double-book pairs.
+ * exist before the first clause lands, and lazily learned lemmas are
+ * permanent facts, so mixing Ackermann modes mid-session would
+ * double-book pairs.
  *
  * The TermTable must outlive the context and must not be used with a
  * second context concurrently (blast-cache keying assumes node
@@ -129,8 +145,13 @@ class IncrementalContext
     IncrementalContext(const IncrementalContext &) = delete;
     IncrementalContext &operator=(const IncrementalContext &) = delete;
 
-    /** Assert a 1-bit term unconditionally, for the whole session. */
-    void assertPermanent(TermRef t);
+    /**
+     * Assert a batch of 1-bit terms unconditionally, for the whole
+     * session. The batch is blasted in order, then its eager
+     * congruences. A constant-false term makes every later check()
+     * Unsat by evaluation (unsat-trivial) and ends the batch there.
+     */
+    void assertPermanent(const std::vector<TermRef> &batch);
 
     /**
      * Add a group of 1-bit assertions guarded by a fresh activation
@@ -145,6 +166,14 @@ class IncrementalContext
      * stats().groupsDeduped.
      */
     int addGroup(const std::vector<TermRef> &assertions);
+
+    /**
+     * Declare the query complete. check() then freezes only what lazy
+     * Ackermann lemmas touch, so the simplifier may eliminate every
+     * other variable; assertPermanent(), addGroup() and literalsOf()
+     * panic from here on, since they could mention one.
+     */
+    void seal() { sealed = true; }
 
     /**
      * Mark the start of a warm reuse of this session (serve's session
@@ -208,27 +237,35 @@ class IncrementalContext
     std::vector<int> failedGroups() const;
 
     int numGroups() const { return static_cast<int>(activations.size()); }
-    const IncrementalStats &stats() const { return istats; }
-    /** The session solver's cumulative SAT statistics. */
-    const sat::Stats &satStats() const { return solver->stats(); }
+    /** Cumulative session counters, cache hits included. */
+    IncrementalStats stats() const;
+    /** The context's CDCL solver (statistics, freeze state). */
+    const sat::Solver &satSolver() const { return *solver; }
     /** The session blaster's cumulative gate and strash-hit counts. */
     const BlastStats &blastStats() const { return blaster->stats(); }
     /** The policy fixed at construction. */
     const SolverPolicy &policy() const { return sessionPolicy; }
 
   private:
+    friend CheckResult checkSat(TermTable &,
+                                const std::vector<TermRef> &, Model *,
+                                const SolveLimits &, CheckStats *);
+
     TermTable &tt;
     const SolverPolicy sessionPolicy;
     /** A permanent assertion folded to constant false. */
     bool rootUnsat = false;
+    /** See seal(). */
+    bool sealed = false;
 
     /** Input clauses and session-long proof (checkProofs only). */
     sat::Cnf cnf;
     sat::DratProof proof;
     /**
      * Heap-allocated on purpose: embedding the solver in the context
-     * raised serve-mix peak RSS from 373 to 406 MB (glibc malloc,
-     * 4-CPU x86-64) with identical work.
+     * raised serve-mix peak RSS from 373 to 406 MB, and a one-shot
+     * query's stack solver from 198 to 202 MB (glibc malloc, 4-CPU
+     * x86-64), with identical work.
      */
     std::unique_ptr<sat::Solver> solver;
     /** Built after the proof sinks are attached (its ctor adds a clause). */
@@ -250,7 +287,7 @@ class IncrementalContext
      * eager pairing, and the lazy scan/instantiate state). Lemmas it
      * hands out are asserted permanently: congruence is a property of
      * the read UF, not of any query, so they survive activation
-     * groups, warm reuse, and the freeze discipline like any other
+     * groups, warm reuse, and the freeze rule like any other
      * permanent clause.
      */
     AckermannManager ack;
@@ -260,24 +297,34 @@ class IncrementalContext
     int modelVars = 0;
     IncrementalStats istats;
 
-    /** Distinct term-DAG nodes reachable from the roots. */
-    uint64_t reachableTerms(const std::vector<TermRef> &roots) const;
+    /** Panic if the context is sealed. */
+    void requireOpen(const char *what) const;
     /**
-     * Register a batch's leaves: extend the model-extraction set and
-     * hand the base reads to the Ackermann manager — eager mode
-     * asserts the full pairing against every read known before
-     * (permanent; congruence is valid formula-wide even when the
-     * reads only occur inside groups), lazy mode pre-blasts and
-     * freezes the read/address literals the model scan will decode
-     * and future lemma clauses may mention.
+     * Register a batch's leaves (in an smt.ackermann span): extend the
+     * model-extraction set and hand the base reads to the Ackermann
+     * manager, booking the eager congruences it returns. Eager
+     * congruence is valid formula-wide even when the reads only
+     * occur inside groups, so the caller asserts it permanently.
      */
-    void registerLeaves(const std::vector<TermRef> &roots);
+    AckermannManager::Registration registerLeaves(
+        const std::vector<TermRef> &roots);
     /**
-     * Freeze newly blasted cache-output literals. Every path that
-     * grows the encoding funnels through here before the next solve
-     * can simplify.
+     * After a batch is blasted: lazy mode blasts the new reads and
+     * addresses the model scan decodes and lemmas are built over,
+     * eager mode asserts the registration's congruences.
      */
-    void freezeOutputs();
+    void encodeReads(const AckermannManager::Registration &reg);
+    /** The freeze rule (see the class comment), at check() entry. */
+    void freezeForCheck();
+    /**
+     * check() inside an smt.checkSat span the caller opened at
+     * q_start: checkSat() opens it before blasting, so a one-shot
+     * query's span and smt.query_ns cover the whole query.
+     */
+    CheckResult run(obs::ScopedSpan &span, uint64_t q_start,
+                    Model *model, const SolveLimits &limits,
+                    CheckStats *stats,
+                    const std::vector<sat::Lit> &extra_assumptions);
 };
 
 } // namespace owl::smt

@@ -2,16 +2,24 @@
  * @file
  * The QF_BV satisfiability interface used by the synthesis engine.
  *
- * A Query is a conjunction of 1-bit terms. checkSat() bit-blasts the
- * query into a fresh CDCL instance and enforces Ackermann congruence
- * for the uninterpreted memory base reads (the paper models memories
- * as an uninterpreted read function plus a write association list;
- * Ackermann expansion removes the UF). By default congruences are
- * instantiated lazily — solve, scan the model for read-consistency
- * violations, assert only the violated instances into the same
- * solver, re-solve (smt/ackermann.h, DESIGN.md §14);
+ * A Query is a conjunction of 1-bit terms. checkSat() answers it with
+ * the one SMT query engine, smt::IncrementalContext (smt/incremental.h):
+ * it makes a context, asserts the query as one permanent batch, seals
+ * it and checks once. A sealed context freezes only the bits its lazy
+ * Ackermann lemmas are built over, so the CNF simplifier may eliminate
+ * everything else (DESIGN.md §12.3).
+ *
+ * Ackermann congruence covers the uninterpreted memory base reads
+ * (the paper models memories as an uninterpreted read function plus
+ * a write association list; Ackermann expansion removes the UF). By
+ * default congruences are instantiated lazily — solve, scan the model
+ * for read-consistency violations, assert only the violated instances
+ * into the same solver, re-solve (smt/ackermann.h, DESIGN.md §14);
  * SolverPolicy::eagerAckermann restores the up-front quadratic
  * expansion.
+ *
+ * This file also holds what every query shares: Model, SolverPolicy,
+ * SolveLimits and CheckStats.
  */
 
 #ifndef OWL_SMT_SOLVER_H
@@ -73,13 +81,15 @@ struct SolverPolicy
      */
     bool profileSat = false;
     /**
-     * SatELite-style pre/inprocessing (sat::SimpOptions). checkSat
-     * freezes only the memory read and address bits its lazy lemmas
-     * are built over; an IncrementalContext freezes every literal
-     * later clauses can mention. Model reconstruction keeps returned models
-     * complete, and lexmin canonicalization keeps synthesized holes
-     * bit-identical either way. Default-on; `owl synth
-     * --no-preprocess` opts out pipeline-wide.
+     * SatELite-style pre/inprocessing (sat::SimpOptions). Every
+     * IncrementalContext freezes at check() entry: a sealed one
+     * (checkSat) only the memory read and address bits its lazy
+     * lemmas are built over, a session also every blast-cache output
+     * later clauses can mention (DESIGN.md §12.3). Model
+     * reconstruction keeps returned models complete, and lexmin
+     * canonicalization keeps synthesized holes bit-identical either
+     * way. Default-on; `owl synth --no-preprocess` opts out
+     * pipeline-wide.
      */
     bool preprocess = true;
     /**

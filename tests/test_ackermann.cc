@@ -15,6 +15,7 @@
 
 #include <optional>
 #include <random>
+#include <set>
 #include <string>
 
 #include "core/synthesis.h"
@@ -286,8 +287,8 @@ TEST(Ackermann, IncrementalLemmasArePermanent)
     TermRef r1 = tt.baseRead(0, x, 16);
     TermRef r2 = tt.baseRead(0, y, 16);
     IncrementalContext ctx(tt);
-    ctx.assertPermanent(tt.mkEq(x, y));
-    ctx.assertPermanent(tt.mkNot(tt.mkEq(r1, r2)));
+    ctx.assertPermanent({tt.mkEq(x, y)});
+    ctx.assertPermanent({tt.mkNot(tt.mkEq(r1, r2))});
     // The contradiction is only reachable through a congruence
     // instance; the lazy incremental path must refine to Unsat, and
     // unconditionally (no activation literal involved).
@@ -314,8 +315,8 @@ TEST(Ackermann, IncrementalEagerNeedsNoRefinement)
     SolverPolicy eager;
     eager.eagerAckermann = true;
     IncrementalContext ctx(tt, eager);
-    ctx.assertPermanent(tt.mkEq(x, y));
-    ctx.assertPermanent(tt.mkNot(tt.mkEq(r1, r2)));
+    ctx.assertPermanent({tt.mkEq(x, y)});
+    ctx.assertPermanent({tt.mkNot(tt.mkEq(r1, r2))});
     EXPECT_GE(ctx.stats().ackermannConstraints, 1u);
     ASSERT_EQ(ctx.check(), CheckResult::Unsat);
     EXPECT_FALSE(ctx.lastUnsatWasConditional());
@@ -334,7 +335,7 @@ TEST(Ackermann, IncrementalLemmasSurviveGroupRetraction)
     TermRef r1 = tt.baseRead(0, x, 16);
     TermRef r2 = tt.baseRead(0, y, 16);
     IncrementalContext ctx(tt);
-    ctx.assertPermanent(tt.mkNot(tt.mkEq(r1, r2)));
+    ctx.assertPermanent({tt.mkNot(tt.mkEq(r1, r2))});
     ASSERT_EQ(ctx.check(), CheckResult::Sat);
     ctx.addGroup({tt.mkEq(x, y)});
     ASSERT_EQ(ctx.check(), CheckResult::Unsat);
@@ -361,11 +362,11 @@ TEST(Ackermann, IncrementalProofReplayOnRefinementUnsat)
     SolverPolicy o;
     o.checkProofs = true;
     IncrementalContext ctx(tt, o);
-    ctx.assertPermanent(tt.mkEq(x, y));
+    ctx.assertPermanent({tt.mkEq(x, y)});
     ASSERT_EQ(ctx.check(), CheckResult::Sat);
     // Spread across two permanents and two solves; a failed DRAT
     // replay panics inside check().
-    ctx.assertPermanent(tt.mkNot(tt.mkEq(r1, r2)));
+    ctx.assertPermanent({tt.mkNot(tt.mkEq(r1, r2))});
     CheckStats stats;
     ASSERT_EQ(ctx.check(nullptr, {}, &stats), CheckResult::Unsat);
     EXPECT_FALSE(stats.unsatConditional);
@@ -429,4 +430,117 @@ TEST(Ackermann, SynthesisHolesBitIdenticalAcrossModes)
             EXPECT_LT(congruences[0], congruences[1]) << name;
         }
     }
+}
+
+namespace
+{
+
+/** Every term reachable from the roots, roots included. */
+std::vector<TermRef>
+subterms(const TermTable &tt, const std::vector<TermRef> &roots)
+{
+    std::vector<TermRef> out, stack = roots;
+    std::vector<bool> seen(tt.numNodes(), false);
+    while (!stack.empty()) {
+        TermRef t = stack.back();
+        stack.pop_back();
+        if (seen[t.idx])
+            continue;
+        seen[t.idx] = true;
+        out.push_back(t);
+        for (TermRef c : tt.node(t).children)
+            stack.push_back(c);
+    }
+    return out;
+}
+
+/** The variables the context's solver has frozen. */
+std::set<int>
+frozenVars(const IncrementalContext &ctx)
+{
+    std::set<int> out;
+    for (int v = 0; v < ctx.satSolver().numVars(); v++) {
+        if (ctx.satSolver().isFrozen(v))
+            out.insert(v);
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(Ackermann, SealedQueryFreezesOnlyLemmaBits)
+{
+    // A one-shot query with two reads of one memory: the only clauses
+    // added after the first solve are lazy lemmas over the read and
+    // address bits, so those and the true literal are all a sealed
+    // context freezes. The sum and the comparison are cache outputs
+    // too, and a session would freeze them.
+    TermTable tt;
+    TermRef x = tt.freshVar("x", 8);
+    TermRef y = tt.freshVar("y", 8);
+    TermRef a1 = tt.mkAdd(x, tt.constant(8, 3));
+    TermRef a2 = tt.mkAnd(y, tt.constant(8, 0x7f));
+    TermRef r1 = tt.baseRead(0, a1, 16);
+    TermRef r2 = tt.baseRead(0, a2, 16);
+    std::vector<TermRef> query = {tt.mkNe(r1, r2),
+                                  tt.mkUlt(tt.mkAdd(x, y),
+                                           tt.constant(8, 40))};
+    IncrementalContext ctx(tt);
+    ctx.assertPermanent(query);
+    std::set<int> expect = {
+        ctx.literalsOf(tt.constant(1, 1))[0].var()};
+    for (TermRef t : {r1, a1, r2, a2}) {
+        for (sat::Lit l : ctx.literalsOf(t))
+            expect.insert(l.var());
+    }
+    ctx.seal();
+    ASSERT_EQ(ctx.check(), CheckResult::Sat);
+    EXPECT_EQ(frozenVars(ctx), expect);
+}
+
+TEST(Ackermann, SealedQueryWithoutPairFreezesNothing)
+{
+    // One read of each memory: no congruence can be violated, so no
+    // lemma will come, and the simplifier may eliminate anything.
+    TermTable tt;
+    TermRef x = tt.freshVar("x", 8);
+    TermRef r1 = tt.baseRead(0, x, 8);
+    TermRef r2 = tt.baseRead(1, x, 8);
+    IncrementalContext ctx(tt);
+    ctx.assertPermanent({tt.mkNe(r1, r2),
+                         tt.mkUlt(tt.mkAdd(x, r1), tt.constant(8, 9))});
+    ctx.seal();
+    ASSERT_EQ(ctx.check(), CheckResult::Sat);
+    EXPECT_GT(ctx.satSolver().numVars(), 1);
+    EXPECT_TRUE(frozenVars(ctx).empty());
+}
+
+TEST(Ackermann, SessionFreezesEveryCacheOutput)
+{
+    // Later batches, literalsOf() and assumptions may mention any
+    // encoded term, so a session freezes them all at check() entry,
+    // including terms blasted between two checks.
+    TermTable tt;
+    TermRef x = tt.freshVar("x", 8);
+    TermRef y = tt.freshVar("y", 8);
+    TermRef r1 = tt.baseRead(0, x, 16);
+    TermRef r2 = tt.baseRead(0, y, 16);
+    TermRef base = tt.mkNe(r1, r2);
+    TermRef cex = tt.mkUlt(tt.mkAdd(x, y), tt.constant(8, 40));
+    IncrementalContext ctx(tt);
+    ctx.assertPermanent({base});
+    ctx.addGroup({cex});
+    ASSERT_EQ(ctx.check(), CheckResult::Sat);
+    auto expectFrozen = [&](const std::vector<TermRef> &roots) {
+        for (TermRef t : subterms(tt, roots)) {
+            for (sat::Lit l : ctx.literalsOf(t))
+                EXPECT_TRUE(ctx.satSolver().isFrozen(l.var()))
+                    << "term " << t.idx;
+        }
+    };
+    expectFrozen({base, cex});
+    TermRef late = tt.mkMul(x, y);
+    ctx.literalsOf(late);
+    ASSERT_EQ(ctx.check(), CheckResult::Sat);
+    expectFrozen({base, cex, late});
 }

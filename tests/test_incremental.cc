@@ -35,14 +35,14 @@ TEST(Incremental, PermanentAssertionsAndModel)
     TermRef a = tt.freshVar("a", 8);
     TermRef b = tt.freshVar("b", 8);
     IncrementalContext ctx(tt);
-    ctx.assertPermanent(tt.mkEq(tt.mkAdd(a, b), tt.constant(8, 10)));
-    ctx.assertPermanent(tt.mkEq(a, tt.constant(8, 3)));
+    ctx.assertPermanent({tt.mkEq(tt.mkAdd(a, b), tt.constant(8, 10))});
+    ctx.assertPermanent({tt.mkEq(a, tt.constant(8, 3))});
     Model model;
     ASSERT_EQ(ctx.check(&model), CheckResult::Sat);
     EXPECT_EQ(model.leafValues.at(a.idx).toUint64(), 3u);
     EXPECT_EQ(model.leafValues.at(b.idx).toUint64(), 7u);
     // Conflicting permanent assertion: unconditional Unsat.
-    ctx.assertPermanent(tt.mkEq(b, tt.constant(8, 9)));
+    ctx.assertPermanent({tt.mkEq(b, tt.constant(8, 9))});
     EXPECT_EQ(ctx.check(), CheckResult::Unsat);
     EXPECT_FALSE(ctx.lastUnsatWasConditional());
 }
@@ -131,12 +131,12 @@ TEST(Incremental, SessionProofCheckOnUnconditionalUnsat)
     SolverPolicy o;
     o.checkProofs = true;
     IncrementalContext ctx(tt, o);
-    ctx.assertPermanent(tt.mkUlt(x, tt.constant(3, 4)));
+    ctx.assertPermanent({tt.mkUlt(x, tt.constant(3, 4))});
     ASSERT_EQ(ctx.check(), CheckResult::Sat);
     // A contradiction spread across two assertPermanent calls and two
     // solves: the session-long DRAT proof must replay cleanly (a
     // failure panics inside check()).
-    ctx.assertPermanent(tt.mkUlt(tt.constant(3, 5), x));
+    ctx.assertPermanent({tt.mkUlt(tt.constant(3, 5), x)});
     CheckStats stats;
     ASSERT_EQ(ctx.check(nullptr, {}, &stats), CheckResult::Unsat);
     EXPECT_FALSE(stats.unsatConditional);
@@ -192,8 +192,8 @@ TEST(Incremental, RebuildsStrashGatesTheSimplifierEliminated)
         check({same, small});
         ctx.addGroup({apart});
         check({same, small, apart});
-        ctx.assertPermanent(apart);
-        ctx.assertPermanent(same);
+        ctx.assertPermanent({apart});
+        ctx.assertPermanent({same});
         check({same, small, apart});
         return out;
     };
@@ -390,4 +390,21 @@ TEST(Incremental, BackToBackSynthSessionsInProcess)
         ASSERT_EQ(r.status, SynthStatus::Ok) << "round " << round;
         EXPECT_FALSE(cs.sketch.hasHoles());
     }
+}
+
+TEST(Incremental, SealedContextRejectsGrowth)
+{
+    // checkSat()'s context is sealed after its one batch: it froze
+    // only the lemma bits, so a later clause could mention an
+    // eliminated variable. Growing it is a caller bug.
+    TermTable tt;
+    TermRef x = tt.freshVar("x", 4);
+    TermRef small = tt.mkUlt(x, tt.constant(4, 3));
+    IncrementalContext ctx(tt);
+    ctx.assertPermanent({small});
+    ctx.seal();
+    EXPECT_THROW(ctx.assertPermanent({small}), PanicError);
+    EXPECT_THROW(ctx.addGroup({small}), PanicError);
+    EXPECT_THROW(ctx.literalsOf(x), PanicError);
+    EXPECT_EQ(ctx.check(), CheckResult::Sat);
 }

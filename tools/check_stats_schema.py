@@ -7,7 +7,9 @@ schemas, dispatched on the document's "schema" key.
 
 Usage:
   check_stats_schema.py FILE [options]
-      Validate an already-emitted stats file (schema only).
+      Validate an already-emitted stats file (schema only). A document
+      owl itself wrote (meta tool "owl") must also record nproc,
+      build_type, obs_enabled and sanitizers in its meta.
   check_stats_schema.py --owl PATH/TO/owl [--write-golden]
       Run a fixed list of owl commands with --stats-json (synth,
       verify, lint, fuzz and serve on small designs) and validate each
@@ -247,6 +249,25 @@ def check_histogram(name, h, path):
         fail(path, "histogram %r has min > max" % name)
 
 
+# What an `owl` document's meta must say about the run beyond its
+# command, so a number read off it later can be told apart by machine
+# and build: CPUs available, CMake build type, obs compiled in ("0" or
+# "1"), sanitizers ("none" or a comma list).
+OWL_META_KEYS = ("nproc", "build_type", "obs_enabled", "sanitizers")
+
+
+def check_owl_meta(meta):
+    for k in OWL_META_KEYS:
+        if not meta.get(k):
+            fail("$/meta/%s" % k, "owl document must record %s" % k)
+    if not meta["nproc"].isdigit() or int(meta["nproc"]) < 1:
+        fail("$/meta/nproc", "must be a positive integer, got %r"
+             % meta["nproc"])
+    if meta["obs_enabled"] not in ("0", "1"):
+        fail("$/meta/obs_enabled", "must be \"0\" or \"1\", got %r"
+             % meta["obs_enabled"])
+
+
 def validate_obs(doc):
     schema = doc.get("schema")
     v2 = schema == "owl.obs.v2"
@@ -272,6 +293,8 @@ def validate_obs(doc):
     for k, v in meta.items():
         if not isinstance(k, str) or not isinstance(v, str):
             fail("$/meta", "meta entries must be string -> string")
+    if meta.get("tool") == "owl":
+        check_owl_meta(meta)
     if v2:
         histograms = doc.get("histograms")
         if not isinstance(histograms, dict):

@@ -64,7 +64,8 @@
  *       request queue feeding N concurrent sessions, a
  *       content-addressed cross-request result cache, and a warm
  *       solver pool. Batch mode replays a jobs file and exits; socket
- *       mode serves NDJSON requests on a unix socket.
+ *       mode serves NDJSON requests on a unix socket. A jobs file
+ *       over serve::kMaxBatchFileBytes (16 MiB) is refused (exit 2).
  *
  * `owl synth --check-proofs` additionally records a DRAT proof for
  * every UNSAT SAT verdict and replays it through the independent
@@ -76,6 +77,7 @@
  * aes.
  */
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <climits>
@@ -95,6 +97,7 @@
 #include "obs/obs.h"
 #include "obs/trace.h"
 #include "designs/registry.h"
+#include "exec/jobs.h"
 #include "oyster/printer.h"
 #include "oyster/verilog.h"
 #include "serve/server.h"
@@ -160,6 +163,24 @@ intArg(const char *flag, const char *text, long long lo, long long hi)
         exit(usage());
     }
     return v;
+}
+
+using Meta = std::vector<std::pair<std::string, std::string>>;
+
+/**
+ * The meta block of a `--stats-json` or `--trace-out` document: the
+ * command's own keys, then what its numbers depend on besides the
+ * code: the CPUs this process may use, the build type and the build
+ * options that change timing (obs compiled in, sanitizers).
+ */
+Meta
+statsMeta(Meta meta)
+{
+    meta.emplace_back("nproc", std::to_string(exec::availableCpus()));
+    meta.emplace_back("build_type", OWL_BUILD_TYPE);
+    meta.emplace_back("obs_enabled", OWL_OBS_ENABLED ? "1" : "0");
+    meta.emplace_back("sanitizers", OWL_SANITIZERS);
+    return meta;
 }
 
 /** True when the design argument names a `.owl` bundle file. */
@@ -290,7 +311,7 @@ cmdServe(int argc, char **argv)
             return;
         if (!obs::Registry::instance().writeJsonFile(
                 stats_json,
-                {{"tool", "owl"}, {"command", "serve"}}))
+                statsMeta({{"tool", "owl"}, {"command", "serve"}})))
             fprintf(stderr, "[owl] failed to write stats to %s\n",
                     stats_json.c_str());
     };
@@ -305,11 +326,28 @@ cmdServe(int argc, char **argv)
                     batch_path.c_str());
             return 2;
         }
-        std::ostringstream text;
-        text << f.rdbuf();
+        // Read one byte past the cap at most: enough to refuse a
+        // bigger file without holding it.
+        std::string text;
+        char chunk[1 << 16];
+        while (text.size() <= serve::kMaxBatchFileBytes) {
+            size_t want = std::min(sizeof chunk,
+                                   serve::kMaxBatchFileBytes + 1 -
+                                       text.size());
+            f.read(chunk, static_cast<std::streamsize>(want));
+            if (f.gcount() <= 0)
+                break;
+            text.append(chunk, static_cast<size_t>(f.gcount()));
+        }
+        if (text.size() > serve::kMaxBatchFileBytes) {
+            fprintf(stderr,
+                    "owl serve: %s: batch file exceeds %zu bytes\n",
+                    batch_path.c_str(), serve::kMaxBatchFileBytes);
+            return 2;
+        }
         std::vector<serve::JobRequest> jobs;
         std::string err;
-        if (!serve::parseJobsFile(text.str(), jobs, err)) {
+        if (!serve::parseJobsFile(text, jobs, err)) {
             fprintf(stderr, "owl serve: %s: %s\n", batch_path.c_str(),
                     err.c_str());
             return 2;
@@ -422,7 +460,8 @@ cmdFuzz(int argc, char **argv)
         if (stats_json.empty())
             return;
         if (!obs::Registry::instance().writeJsonFile(
-                stats_json, {{"tool", "owl"}, {"command", "fuzz"}}))
+                stats_json,
+                statsMeta({{"tool", "owl"}, {"command", "fuzz"}})))
             fprintf(stderr, "[owl] failed to write stats to %s\n",
                     stats_json.c_str());
     };
@@ -588,9 +627,9 @@ main(int argc, char **argv)
     auto write_stats = [&]() {
         if (!stats_json.empty()) {
             bool ok = obs::Registry::instance().writeJsonFile(
-                stats_json, {{"tool", "owl"},
-                             {"command", cmd},
-                             {"design", design}});
+                stats_json, statsMeta({{"tool", "owl"},
+                                       {"command", cmd},
+                                       {"design", design}}));
             if (ok)
                 fprintf(stderr, "[owl] wrote stats to %s\n",
                         stats_json.c_str());
@@ -600,9 +639,9 @@ main(int argc, char **argv)
         }
         if (!trace_out.empty()) {
             bool ok = obs::writeChromeTraceFile(
-                trace_out, {{"tool", "owl"},
-                            {"command", cmd},
-                            {"design", design}});
+                trace_out, statsMeta({{"tool", "owl"},
+                                      {"command", cmd},
+                                      {"design", design}}));
             if (ok)
                 fprintf(stderr, "[owl] wrote trace to %s\n",
                         trace_out.c_str());

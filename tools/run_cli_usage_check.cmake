@@ -80,3 +80,29 @@ if(NOT rc EQUAL 2 OR NOT err MATCHES "at line [0-9]+, column [0-9]+")
         "`owl lint` on an oversized `with cycles` exited ${rc}, "
         "expected 2 with a located error:\n${err}")
 endif()
+
+# `owl serve --batch` reads at most serve::kMaxBatchFileBytes (16 MiB)
+# plus one byte: one byte more is refused before parsing, a file at
+# the cap reaches the JSON parser.
+string(REPEAT " " 1048576 mib)
+string(REPEAT "${mib}" 16 at_cap)
+set(batch ${CMAKE_CURRENT_BINARY_DIR}/cli_usage_big_batch.json)
+foreach(extra "" " ")
+    file(WRITE ${batch} "${at_cap}${extra}")
+    execute_process(COMMAND ${OWL_BIN} serve --batch ${batch}
+                    RESULT_VARIABLE rc
+                    OUTPUT_QUIET
+                    ERROR_VARIABLE err)
+    if(extra STREQUAL "")
+        if(err MATCHES "exceeds")
+            message(FATAL_ERROR
+                "`owl serve --batch` refused a file at the cap:\n${err}")
+        endif()
+    elseif(NOT rc EQUAL 2 OR NOT err MATCHES
+           "owl serve: [^\n]*: batch file exceeds 16777216 bytes")
+        message(FATAL_ERROR
+            "`owl serve --batch` on a file over the cap exited ${rc}, "
+            "expected 2 naming the cap:\n${err}")
+    endif()
+endforeach()
+file(REMOVE ${batch})
